@@ -12,15 +12,38 @@ double Zeta(std::uint64_t n, double theta) {
   return sum;
 }
 
+/// The O(n) part of the precompute for one (n, theta).
+struct ZetaTerms {
+  std::uint64_t n = 0;
+  double theta = 0.0;
+  double zetan = 0.0;
+  double eta = 0.0;
+};
+
+/// Every client's generator samples the same key space, so the last
+/// (n, theta) is kept per thread: a population of generators pays for
+/// one zeta sum, not one each.  Same arithmetic, so same bits.
+const ZetaTerms& Terms(std::uint64_t n, double theta) {
+  thread_local ZetaTerms cache;
+  if (cache.n != n || cache.theta != theta) {
+    cache.n = n;
+    cache.theta = theta;
+    cache.zetan = Zeta(n, theta);
+    const double zeta2 = Zeta(2 < n ? 2 : n, theta);
+    cache.eta = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
+                (1.0 - zeta2 / cache.zetan);
+  }
+  return cache;
+}
+
 }  // namespace
 
 ZipfSampler::ZipfSampler(std::uint64_t n, double theta)
     : n_(n == 0 ? 1 : n), theta_(theta) {
-  zetan_ = Zeta(n_, theta_);
+  const ZetaTerms& terms = Terms(n_, theta_);
+  zetan_ = terms.zetan;
   alpha_ = 1.0 / (1.0 - theta_);
-  const double zeta2 = Zeta(2 < n_ ? 2 : n_, theta_);
-  eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
-         (1.0 - zeta2 / zetan_);
+  eta_ = terms.eta;
 }
 
 std::uint64_t ZipfSampler::Sample(Rng& rng) const {

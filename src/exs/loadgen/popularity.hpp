@@ -1,11 +1,13 @@
 // Key-popularity and value-size distributions for the traffic generator.
 //
 // The Zipf sampler is the Gray et al. transform (the YCSB
-// ZipfianGenerator lineage): an O(n) zeta precompute at construction,
-// then O(1) draws mapping one uniform variate to a rank — rank 0 is the
-// hottest key.  All arithmetic is double-precision with a fixed
-// evaluation order, so fixed seeds reproduce identical sample trains
-// across platforms (pinned in tests/loadgen_test.cpp).
+// ZipfianGenerator lineage): an O(n) zeta precompute at construction
+// (memoised per thread for the last key space, so many samplers over one
+// key space pay for it once), then O(1) draws mapping one uniform variate
+// to a rank — rank 0 is the hottest key.  All arithmetic is
+// double-precision with a fixed evaluation order, so fixed seeds
+// reproduce identical sample trains across platforms (pinned in
+// tests/loadgen_test.cpp).
 #pragma once
 
 #include <cstdint>

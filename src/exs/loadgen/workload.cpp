@@ -1,5 +1,7 @@
 #include "exs/loadgen/workload.hpp"
 
+#include <charconv>
+
 namespace exs::loadgen {
 
 WorkloadGenerator::WorkloadGenerator(const WorkloadOptions& options,
@@ -12,7 +14,10 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadOptions& options,
 WorkloadGenerator::Request WorkloadGenerator::Next() {
   Request r;
   const std::uint64_t rank = zipf_.Sample(rng_);
-  r.key = "k" + std::to_string(rank);
+  // "k<rank>", formatted in place: GCC 12 misreports -Wrestrict on string
+  // concatenation here under optimisation.
+  char key[24] = {'k'};
+  r.key.assign(key, std::to_chars(key + 1, key + sizeof key, rank).ptr);
   const double u = rng_.NextDouble();
   if (u < options_.get_fraction) {
     r.op = rpc::Op::kGet;

@@ -1,6 +1,7 @@
 #include "exs/mux.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/check.hpp"
@@ -23,10 +24,7 @@ MuxGroup::MuxGroup(verbs::Device& device, MuxOptions options)
         std::make_unique<ControlChannel>(device, options_.qp_credits));
   }
   slot_fifo_.resize(slots_.size());
-  slot_streams_.resize(slots_.size());
-  slot_dead_ids_.resize(slots_.size(), 0);
-  slot_cursor_.resize(slots_.size(), 0);
-  slot_in_round_.resize(slots_.size(), false);
+  rotations_.resize(slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) WireSlot(i);
 }
 
@@ -50,50 +48,92 @@ void MuxGroup::Connect(MuxGroup& a, MuxGroup& b) {
 std::unique_ptr<MuxStream> MuxGroup::AttachStream(std::uint32_t stream_id) {
   EXS_CHECK_MSG(stream_id <= 0xffff,
                 "mux stream id exceeds the 16-bit wire field");
-  EXS_CHECK_MSG(routes_.find(stream_id) == routes_.end(),
+  EXS_CHECK_MSG(FindStream(stream_id) == nullptr,
                 "stream id " << stream_id << " already attached");
   std::unique_ptr<MuxStream> stream(new MuxStream(*this, stream_id));
-  routes_.emplace(stream_id, stream.get());
-  slot_streams_[SlotIndex(stream_id)].push_back(stream_id);
+  if (stream_id >= by_id_.size()) by_id_.resize(stream_id + 1, nullptr);
+  by_id_[stream_id] = stream.get();
+  ++attached_;
+  Rotation& rotation = rotations_[SlotIndex(stream_id)];
+  stream->rotation_pos_ = static_cast<std::uint32_t>(rotation.streams.size());
+  rotation.streams.push_back(stream.get());
+  if (rotation.parked.size() * 64 < rotation.streams.size()) {
+    rotation.parked.push_back(0);
+  }
   ++stats_.streams_attached;
   if (stream_id >= next_stream_id_) next_stream_id_ = stream_id + 1;
   return stream;
 }
 
 MuxStream* MuxGroup::FindStream(std::uint32_t stream_id) {
-  auto it = routes_.find(stream_id);
-  return it == routes_.end() ? nullptr : it->second;
+  return stream_id < by_id_.size() ? by_id_[stream_id] : nullptr;
 }
 
 const MuxStream* MuxGroup::FindStream(std::uint32_t stream_id) const {
-  auto it = routes_.find(stream_id);
-  return it == routes_.end() ? nullptr : it->second;
+  return stream_id < by_id_.size() ? by_id_[stream_id] : nullptr;
 }
 
 std::vector<std::uint32_t> MuxGroup::StreamIds() const {
   std::vector<std::uint32_t> ids;
-  ids.reserve(routes_.size());
-  for (const auto& [id, stream] : routes_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
+  ids.reserve(attached_);
+  for (std::uint32_t id = 0; id < by_id_.size(); ++id) {
+    if (by_id_[id] != nullptr) ids.push_back(id);
+  }
   return ids;
 }
 
-void MuxGroup::Detach(std::uint32_t stream_id) {
-  auto it = routes_.find(stream_id);
-  if (it == routes_.end()) return;
-  routes_.erase(it);
+void MuxGroup::Detach(MuxStream& stream) {
+  by_id_[stream.id_] = nullptr;
+  --attached_;
   ++stats_.streams_detached;
-  std::size_t slot = SlotIndex(stream_id);
-  // Lazy removal from the dispatch rotation: compact once dead ids
-  // outnumber live ones, so mass teardown stays linear overall.
-  if (++slot_dead_ids_[slot] * 2 > slot_streams_[slot].size()) {
-    auto& ids = slot_streams_[slot];
-    std::erase_if(ids, [this](std::uint32_t id) {
-      return routes_.find(id) == routes_.end();
-    });
-    slot_dead_ids_[slot] = 0;
-    slot_cursor_[slot] = 0;
+  Rotation& rotation = rotations_[stream.slot_index_];
+  rotation.streams[stream.rotation_pos_] = nullptr;
+  rotation.SetParked(stream.rotation_pos_, false);
+  ++rotation.detached;
+  CompactIfSparse(rotation);
+}
+
+// Lazy removal from the dispatch rotation: compact once detached entries
+// outnumber live ones, so mass teardown stays linear overall.  Compaction
+// renumbers positions and restarts the rotation at its head, so it waits
+// while a walk holds positions; each walk re-checks as it ends.
+void MuxGroup::CompactIfSparse(Rotation& rotation) {
+  if (rotation.walks != 0 ||
+      rotation.detached * 2 <= rotation.streams.size()) {
+    return;
   }
+  std::erase(rotation.streams, nullptr);
+  rotation.parked.assign((rotation.streams.size() + 63) / 64, 0);
+  for (std::size_t pos = 0; pos < rotation.streams.size(); ++pos) {
+    MuxStream* stream = rotation.streams[pos];
+    stream->rotation_pos_ = static_cast<std::uint32_t>(pos);
+    if (stream->parked_) rotation.SetParked(pos, true);
+  }
+  rotation.detached = 0;
+  rotation.cursor = 0;
+}
+
+void MuxGroup::Rotation::SetParked(std::size_t pos, bool on) {
+  const std::uint64_t bit = std::uint64_t{1} << (pos % 64);
+  if (on) {
+    parked[pos / 64] |= bit;
+  } else {
+    parked[pos / 64] &= ~bit;
+  }
+}
+
+std::size_t MuxGroup::Rotation::NextParked(std::size_t from,
+                                           std::size_t end) const {
+  if (from >= end) return end;
+  std::size_t word = from / 64;
+  std::uint64_t bits = parked[word] & (~std::uint64_t{0} << (from % 64));
+  while (bits == 0) {
+    if (++word * 64 >= end) return end;
+    bits = parked[word];
+  }
+  const std::size_t pos =
+      word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+  return std::min(pos, end);
 }
 
 void MuxGroup::WireSlot(std::size_t slot) {
@@ -120,12 +160,11 @@ void MuxGroup::WireSlot(std::size_t slot) {
 void MuxGroup::OnSlotDataRaw(std::size_t /*slot*/,
                              const verbs::WorkCompletion& wc) {
   EXS_CHECK_MSG(wc.has_mux, "untagged data WWI on a mux slot");
-  auto it = routes_.find(wc.mux_stream);
-  if (it == routes_.end()) {
+  MuxStream* stream = FindStream(wc.mux_stream);
+  if (stream == nullptr) {
     ++stats_.orphan_drops;
     return;
   }
-  MuxStream* stream = it->second;
   if (stream->dead_ || wc.mux_epoch != stream->epoch_) {
     ++stats_.stale_data_drops;
     return;
@@ -146,12 +185,11 @@ void MuxGroup::OnSlotDataRaw(std::size_t /*slot*/,
 }
 
 void MuxGroup::OnSlotControl(const wire::ControlMessage& msg) {
-  auto it = routes_.find(msg.stream_id);
-  if (it == routes_.end()) {
-    ++stats_.orphan_drops;
+  MuxStream* stream = FindStream(msg.stream_id);
+  if (stream == nullptr) {
+    ++stats_.orphan_control_drops;
     return;
   }
-  MuxStream* stream = it->second;
   if (stream->dead_ || msg.mux_epoch != stream->epoch_) {
     ++stats_.stale_control_drops;
     return;
@@ -165,12 +203,11 @@ void MuxGroup::OnSlotDataSent(std::size_t slot, std::uint64_t wr_id) {
   PostRecord rec = slot_fifo_[slot].front();
   slot_fifo_[slot].pop_front();
   EXS_CHECK_MSG(rec.wr_id == wr_id, "send completions out of post order");
-  auto it = routes_.find(rec.stream);
-  if (it == routes_.end()) {
+  MuxStream* stream = FindStream(rec.stream);
+  if (stream == nullptr) {
     ++stats_.orphan_completions;
     return;
   }
-  MuxStream* stream = it->second;
   if (rec.epoch != stream->epoch_) return;  // pre-revive post; window reset
   stream->NoteDataSent(wr_id);
 }
@@ -181,39 +218,52 @@ void MuxGroup::OnSlotFatal(std::size_t slot, verbs::WcStatus status) {
   // (late success completions racing the death are already dropped inside
   // the slot channel).
   slot_fifo_[slot].clear();
-  for (std::uint32_t id : slot_streams_[slot]) {
-    auto it = routes_.find(id);
-    if (it != routes_.end() && !it->second->dead_) it->second->MarkDead(status);
+  Rotation& rotation = rotations_[slot];
+  ++rotation.walks;
+  const std::size_t n = rotation.streams.size();
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    MuxStream* stream = rotation.streams[pos];
+    if (stream != nullptr && !stream->dead_) stream->MarkDead(status);
   }
+  --rotation.walks;
+  CompactIfSparse(rotation);
 }
 
 void MuxGroup::DispatchSlot(std::size_t slot) {
-  if (slot_in_round_[slot]) return;  // re-entered from a woken pump
-  auto& ids = slot_streams_[slot];
-  if (ids.empty()) return;
+  Rotation& rotation = rotations_[slot];
+  if (rotation.in_round) return;  // re-entered from a woken pump
+  if (rotation.streams.empty()) return;
   ++stats_.dispatch_rounds;
-  slot_in_round_[slot] = true;
-  const std::size_t n = ids.size();
-  const std::size_t start = slot_cursor_[slot] % n;
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t idx = (start + k) % n;
-    auto it = routes_.find(ids[idx]);
-    if (it == routes_.end()) continue;
-    MuxStream* stream = it->second;
-    if (stream->dead_ || !stream->parked_) continue;
-    stream->deficit_ = options_.drr_quantum;
-    ++stats_.dispatch_wakes;
-    stream->FireCreditAvailable();
-    if (slots_[slot]->dead() || !slots_[slot]->CanSend()) {
-      // Shared credits exhausted mid-round (or the slot died under us):
-      // resume after this stream next time.
-      slot_cursor_[slot] = (idx + 1) % n;
-      slot_in_round_[slot] = false;
-      return;
+  rotation.in_round = true;
+  ++rotation.walks;
+  // Positions hold for the whole round; streams attached meanwhile land
+  // past `n` and wait for the next one.
+  const std::size_t n = rotation.streams.size();
+  const std::size_t start = rotation.cursor % n;
+  // Wake the parked streams of [from, end) in order.  The bitmap is
+  // re-read after every wake, so a stream that parks or unparks while an
+  // earlier one runs is taken as it stands when the walk reaches it.
+  // Returns false once the slot runs out of shared credits.
+  auto wake = [&](std::size_t from, std::size_t end) {
+    for (std::size_t pos = rotation.NextParked(from, end); pos < end;
+         pos = rotation.NextParked(pos + 1, end)) {
+      MuxStream* stream = rotation.streams[pos];
+      stream->deficit_ = options_.drr_quantum;
+      ++stats_.dispatch_wakes;
+      stream->FireCreditAvailable();
+      if (slots_[slot]->dead() || !slots_[slot]->CanSend()) {
+        // Shared credits exhausted mid-round (or the slot died under us):
+        // resume after this stream next time.
+        rotation.cursor = (pos + 1) % n;
+        return false;
+      }
     }
-  }
-  slot_cursor_[slot] = (start + 1) % n;
-  slot_in_round_[slot] = false;
+    return true;
+  };
+  if (wake(start, n) && wake(0, start)) rotation.cursor = (start + 1) % n;
+  rotation.in_round = false;
+  --rotation.walks;
+  CompactIfSparse(rotation);
 }
 
 // ---------------------------------------------------------------------------
@@ -228,14 +278,14 @@ MuxStream::MuxStream(MuxGroup& group, std::uint32_t id)
       id_(id) {}
 
 MuxStream::~MuxStream() {
-  if (!group_alive_.expired()) group_->Detach(id_);
+  if (!group_alive_.expired()) group_->Detach(*this);
 }
 
 bool MuxStream::CanSend() const {
   if (group_alive_.expired() || dead_) return false;
   bool ok = slot_->CanSend() &&
             outstanding_ < group_->options_.per_stream_credits;
-  if (ok && group_->slot_in_round_[slot_index_]) ok = deficit_ > 0;
+  if (ok && group_->rotations_[slot_index_].in_round) ok = deficit_ > 0;
   if (!ok) NotePark();
   return ok;
 }
@@ -266,7 +316,7 @@ void MuxStream::PostDataWwi(std::uint64_t wr_id, const void* src,
   group_->slot_fifo_[slot_index_].push_back({id_, wr_id, epoch_});
   ++outstanding_;
   ++group_->stats_.data_posted;
-  if (group_->slot_in_round_[slot_index_]) {
+  if (group_->rotations_[slot_index_].in_round) {
     deficit_ -= std::min(deficit_, len);
   }
   slot_->PostDataWwiTagged(wr_id, src, lkey, len, remote_addr, rkey, indirect,
@@ -290,7 +340,7 @@ void MuxStream::PostDataWwiV(std::uint64_t wr_id, const SendSlice* slices,
   group_->slot_fifo_[slot_index_].push_back({id_, wr_id, epoch_});
   ++outstanding_;
   ++group_->stats_.data_posted;
-  if (group_->slot_in_round_[slot_index_]) {
+  if (group_->rotations_[slot_index_].in_round) {
     deficit_ -= std::min(deficit_, len);
   }
   slot_->PostDataWwiVTagged(wr_id, slices, n, len, remote_addr, rkey, indirect,
@@ -340,12 +390,12 @@ void MuxStream::Revive() {
   tx_seq_ = 0;
   rx_expect_ = 0;
   deficit_ = 0;
-  parked_ = false;
+  SetParked(false);
 }
 
 void MuxStream::MarkDead(verbs::WcStatus status) {
   dead_ = true;
-  parked_ = false;
+  SetParked(false);
   if (fatal_notified_) return;
   fatal_notified_ = true;
   if (callbacks_.on_fatal) callbacks_.on_fatal(status);
@@ -369,19 +419,24 @@ void MuxStream::FireCreditAvailable() {
 
 void MuxStream::NotePark() const {
   if (parked_) return;
-  parked_ = true;
+  SetParked(true);
   park_since_ = slot_->device().scheduler().Now();
   if (parks_ != nullptr) parks_->Increment();
 }
 
 void MuxStream::NoteUnblocked() {
   if (!parked_) return;
-  parked_ = false;
+  SetParked(false);
   if (hol_wait_ != nullptr) {
     SimTime now = slot_->device().scheduler().Now();
     hol_wait_->Record(static_cast<std::uint64_t>(
         now >= park_since_ ? now - park_since_ : 0));
   }
+}
+
+void MuxStream::SetParked(bool parked) const {
+  parked_ = parked;
+  group_->rotations_[slot_index_].SetParked(rotation_pos_, parked);
 }
 
 }  // namespace exs

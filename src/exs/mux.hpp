@@ -26,6 +26,11 @@
 // only by its window — which keeps the scheme deadlock-free: any credit
 // return reaches every parked stream.
 //
+// A round visits only parked streams, in attach order from a rotating
+// cursor.  Each slot keeps its streams in an attach-order rotation and a
+// bitmap of the parked ones, so a credit return costs O(parked +
+// streams/64) rather than a visit to every stream on the slot.
+//
 // Faults: MuxStream::Kill() is a *virtual* kill — the shared QP stays
 // healthy (its other streams are undisturbed) while this stream behaves
 // exactly like a dead transport: on_fatal fires, CanSend() is false, and
@@ -45,7 +50,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -84,8 +88,11 @@ struct MuxGroupStats {
   /// a virtual kill) or that is currently dead.
   std::uint64_t stale_data_drops = 0;
   std::uint64_t stale_control_drops = 0;
-  /// Arrivals for a stream id with no attached stream (torn down).
+  /// Data WWIs arriving for a stream id with no attached stream (torn
+  /// down).  Control arrivals for one count in orphan_control_drops: only
+  /// data enters the conservation law above.
   std::uint64_t orphan_drops = 0;
+  std::uint64_t orphan_control_drops = 0;
   /// Send completions whose stream detached before they returned.
   std::uint64_t orphan_completions = 0;
   std::uint64_t dispatch_rounds = 0;
@@ -131,7 +138,7 @@ class MuxGroup {
   const MuxGroup* peer() const { return peer_; }
   MuxStream* FindStream(std::uint32_t stream_id);
   const MuxStream* FindStream(std::uint32_t stream_id) const;
-  std::size_t AttachedStreams() const { return routes_.size(); }
+  std::size_t AttachedStreams() const { return attached_; }
   /// Attached stream ids, ascending (checker and harness iteration).
   std::vector<std::uint32_t> StreamIds() const;
   const MuxGroupStats& stats() const { return stats_; }
@@ -152,11 +159,31 @@ class MuxGroup {
     std::uint8_t epoch = 0;
   };
 
+  /// One slot's dispatch rotation: its streams in attach order, null where
+  /// one detached (skipped lazily, compacted once nulls outnumber live
+  /// entries), plus a bitmap of the parked ones — all a round visits.
+  /// Every attached stream holds exactly one position.
+  struct Rotation {
+    std::vector<MuxStream*> streams;
+    std::vector<std::uint64_t> parked;  ///< bit i set iff streams[i] parked
+    std::size_t detached = 0;           ///< null entries in `streams`
+    std::size_t cursor = 0;             ///< where the next round starts
+    bool in_round = false;  ///< deficit gate + re-entrancy guard
+    /// Walks in progress (a round, a slot death).  They hold positions,
+    /// so compaction waits until none is left.
+    std::uint32_t walks = 0;
+
+    void SetParked(std::size_t pos, bool parked);
+    /// First parked position in [from, end), or `end` if there is none.
+    std::size_t NextParked(std::size_t from, std::size_t end) const;
+  };
+
   std::size_t SlotIndex(std::uint32_t stream_id) const {
     return stream_id % slots_.size();
   }
   void WireSlot(std::size_t slot);
-  void Detach(std::uint32_t stream_id);
+  void Detach(MuxStream& stream);
+  void CompactIfSparse(Rotation& rotation);
   void OnSlotDataRaw(std::size_t slot, const verbs::WorkCompletion& wc);
   void OnSlotControl(const wire::ControlMessage& msg);
   void OnSlotDataSent(std::size_t slot, std::uint64_t wr_id);
@@ -169,13 +196,12 @@ class MuxGroup {
   MuxGroup* peer_ = nullptr;
   std::vector<std::unique_ptr<ControlChannel>> slots_;
   std::vector<std::deque<PostRecord>> slot_fifo_;
-  /// Attach-order stream ids per slot (the dispatch rotation).  Detached
-  /// ids are skipped lazily and compacted once they outnumber live ones.
-  std::vector<std::vector<std::uint32_t>> slot_streams_;
-  std::vector<std::size_t> slot_dead_ids_;
-  std::vector<std::size_t> slot_cursor_;
-  std::vector<bool> slot_in_round_;  ///< deficit gate + re-entrancy guard
-  std::unordered_map<std::uint32_t, MuxStream*> routes_;
+  std::vector<Rotation> rotations_;  ///< one per slot
+  /// The demux table: attached stream by id, null where none.  Ids fit
+  /// 16 bits and AllocateStreamId hands them out densely, so a flat table
+  /// indexed by id replaces hashing.
+  std::vector<MuxStream*> by_id_;
+  std::size_t attached_ = 0;
   std::uint32_t next_stream_id_ = 0;
   MuxGroupStats stats_;
   /// Expires at group destruction; guards stream detach and the scheduled
@@ -267,12 +293,15 @@ class MuxStream : public ChannelEndpoint {
   void NotePark() const;
   /// A send went through: close the park window into the HoL histogram.
   void NoteUnblocked();
+  /// Set parked_ and mirror it into the slot rotation's parked bitmap.
+  void SetParked(bool parked) const;
 
   MuxGroup* group_;
   std::weak_ptr<void> group_alive_;
   ControlChannel* slot_;
   std::size_t slot_index_;
   std::uint32_t id_;
+  std::uint32_t rotation_pos_ = 0;  ///< index in the slot's rotation
   Callbacks callbacks_;
   bool dead_ = false;
   bool fatal_notified_ = false;

@@ -169,7 +169,7 @@ TEST(RpcKv, PipelinedCallsResolveByCorrelation) {
   std::vector<std::uint8_t> value(200, 0xab);
   int answered = 0;
   for (int i = 0; i < kCalls; ++i) {
-    const std::string key = "k" + std::to_string(i % 8);
+    const std::string key = {'k', static_cast<char>('0' + i % 8)};
     const bool put = i % 2 == 0;
     const std::uint64_t expect_id = static_cast<std::uint64_t>(i) + 1;
     f.client->Call(

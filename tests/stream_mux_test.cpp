@@ -3,7 +3,8 @@
 // per-stream credit window parking bulk streams without starving
 // cohabitants, bit-exactness of the classic path when the tier is off,
 // mid-flight teardown of a muxed socket, virtual kill/resume of one
-// stream on a shared QP — plus a seeds x profiles x widths property sweep
+// stream on a shared QP, an absolute pin of DRR dispatch order with many
+// streams parked at once — plus a seeds x profiles x widths property sweep
 // asserting that dedicated and muxed transports deliver byte-identical
 // per-stream payloads, all under the invariant checker's mux conservation
 // rules (CheckMuxGroupPair).
@@ -280,6 +281,8 @@ TEST(StreamMuxTest, MuxedTeardownMidFlightLeavesCohabitantIntact) {
   EXPECT_TRUE(c_tx->Quiescent() && c_rx->Quiescent());
   // Whatever stream 0 had in flight at teardown is accounted, not lost.
   EXPECT_GT(g1.stats().orphan_drops + g0.stats().orphan_drops +
+                g1.stats().orphan_control_drops +
+                g0.stats().orphan_control_drops +
                 g0.stats().orphan_completions + g1.stats().orphan_completions,
             0u)
       << "mid-flight teardown should have produced orphaned traffic";
@@ -366,6 +369,118 @@ TEST(StreamMuxTest, KillResumeOnSharedQpLeavesCohabitantUndisturbed) {
   EXPECT_EQ(CounterValue(a_tx, "recovery.resumes", "resumes"), 1u);
   ExpectCleanChecker(b_tx, b_rx);
   ExpectCleanMuxPair(g0, g1);
+}
+
+// Dispatch order with the tier on, pinned absolutely.  72 streams share a
+// width-2 pool with one-WWI windows and a 24-credit slot pool, so dozens
+// park at once and every shared-credit return runs a real DRR round; some
+// rounds run dry mid-rotation, others wake every parked stream.  Two
+// thirds of the senders are torn down mid-flight, parked ones included:
+// each slot of the sending group skips detached entries lazily, then
+// compacts its rotation and resets its cursor.  (Their receivers stay up
+// until the end, so no receive-side copy pass outlives its socket.)  One
+// survivor is then virtually killed and resumed.  The survivors' trace
+// fingerprints and the exact round, wake and park counts move if any
+// round visits its parked streams in another order.
+TEST(StreamMuxTest, ParkedDispatchOrderGolden) {
+  Simulation sim(HardwareProfile::FdrInfiniBand(), /*seed=*/48);
+  MuxOptions mopts;
+  mopts.width = 2;
+  mopts.qp_credits = 24;
+  mopts.per_stream_credits = 1;
+  mopts.drr_quantum = 4 * 1024;
+  MuxGroup g0(sim.device(0), mopts);
+  MuxGroup g1(sim.device(1), mopts);
+  MuxGroup::Connect(g0, g1);
+
+  constexpr int kStreams = 72;
+  constexpr int kVictim = 9;  // a survivor on slot 1
+  constexpr std::uint64_t kTotal = 24 * 1024;
+  struct Pair {
+    std::unique_ptr<Socket> tx, rx;
+    std::vector<std::uint8_t> out, in;
+  };
+  std::vector<Pair> pairs(kStreams);
+  for (int s = 0; s < kStreams; ++s) {
+    const std::uint32_t id = g0.AllocateStreamId();
+    SocketWiring w0, w1;
+    w0.mux_stream = g0.AttachStream(id);
+    w1.mux_stream = g1.AttachStream(id);
+    StreamOptions opts;
+    opts.intermediate_buffer_bytes = 64 * 1024;  // 144 rings: keep them small
+    opts.max_wwi_chunk = 2 * 1024;  // 12 WWIs against a one-WWI window
+    opts.recovery.enabled = s == kVictim;
+    Pair& p = pairs[s];
+    p.tx = std::make_unique<Socket>(sim.device(0), SocketType::kStream, opts,
+                                    std::to_string(s) + "-tx", std::move(w0));
+    p.rx = std::make_unique<Socket>(sim.device(1), SocketType::kStream, opts,
+                                    std::to_string(s) + "-rx", std::move(w1));
+    Socket::ConnectPair(*p.tx, *p.rx);
+    p.tx->EnableTracing();
+    p.rx->EnableTracing();
+    p.out.resize(kTotal);
+    p.in.resize(kTotal);
+    FillPattern(p.out.data(), kTotal, 0, 500 + s);
+    p.rx->Recv(p.in.data(), kTotal, RecvFlags{.waitall = true});
+    p.tx->Send(p.out.data(), kTotal);
+  }
+
+  sim.RunFor(Microseconds(160));  // rounds have moved both slots' cursors
+  int parked = 0;
+  int parked_doomed = 0;
+  for (int s = 0; s < kStreams; ++s) {
+    if (!pairs[s].tx->mux_stream()->parked()) continue;
+    ++parked;
+    if (s % 3 != 0) ++parked_doomed;
+  }
+  EXPECT_GE(parked, 16) << "too few streams parked to exercise DRR rounds";
+  EXPECT_GT(parked_doomed, 0) << "no parked stream was torn down";
+
+  // 24 of each slot's 36 senders go; the 19th detach on a slot compacts.
+  std::uint64_t parks = 0;
+  for (int s = 0; s < kStreams; ++s) {
+    if (s % 3 == 0) continue;
+    parks += CounterValue(pairs[s].tx.get(), "mux.parks", "events");
+    pairs[s].tx.reset();
+  }
+  EXPECT_EQ(g0.AttachedStreams(), 24u);
+
+  sim.RunFor(Microseconds(10));
+  Pair& victim = pairs[kVictim];
+  ASSERT_LT(victim.rx->stream_rx()->sequence(), kTotal);
+  ASSERT_TRUE(victim.tx->KillTransport());
+  sim.RunUntil([&] { return victim.rx->TransportDead(); });
+  Socket::ResumePair(*victim.tx, *victim.rx);
+  sim.Run();
+
+  for (int s = 0; s < kStreams; ++s) {
+    const Pair& p = pairs[s];
+    parks += CounterValue(p.rx.get(), "mux.parks", "events");
+    if (p.tx == nullptr) continue;
+    parks += CounterValue(p.tx.get(), "mux.parks", "events");
+    EXPECT_EQ(VerifyPattern(p.in.data(), kTotal, 0, 500 + s), kTotal)
+        << "stream " << s;
+    EXPECT_TRUE(p.tx->Quiescent() && p.rx->Quiescent()) << "stream " << s;
+    ExpectCleanChecker(p.tx.get(), p.rx.get());
+  }
+  ExpectCleanMuxPair(g0, g1);
+  EXPECT_EQ(g0.stats().virtual_kills, 1u);
+  EXPECT_EQ(g0.stats().revives, 1u);
+
+  const std::pair<int, std::uint64_t> kFingerprints[] = {
+      {0, 0xbda0d9c3a2cabe2dull},  {3, 0x20af166465624185ull},
+      {kVictim, 0x5cc05bbe293672c5ull}, {36, 0x43908e655d808400ull},
+      {69, 0x85d588950cca484aull},
+  };
+  for (const auto& [s, fp] : kFingerprints) {
+    EXPECT_EQ(ConnectionFingerprint(*pairs[s].tx, *pairs[s].rx), fp)
+        << "stream " << s;
+  }
+  EXPECT_EQ(g0.stats().dispatch_rounds, 77u);
+  EXPECT_EQ(g0.stats().dispatch_wakes, 442u);
+  EXPECT_EQ(g1.stats().dispatch_rounds, 12u);
+  EXPECT_EQ(g1.stats().dispatch_wakes, 27u);
+  EXPECT_EQ(parks, 363u);
 }
 
 // The engine path end to end: a server Acceptor with a QpPool, clients
