@@ -210,18 +210,18 @@ void ControlChannel::SendControl(wire::ControlMessage msg) {
   qp_->PostSend(wr);
 }
 
-void ControlChannel::PostDataWwi(std::uint64_t wr_id, const void* src,
-                                 std::uint32_t lkey, std::uint64_t len,
+void ControlChannel::PostDataWwi(std::uint64_t wr_id,
+                                 std::span<const verbs::Sge> sges,
                                  std::uint64_t remote_addr, std::uint32_t rkey,
                                  bool indirect, bool has_stripe_seq,
                                  std::uint64_t stripe_seq,
                                  std::uint64_t trace_ctx) {
-  PostDataWwiTagged(wr_id, src, lkey, len, remote_addr, rkey, indirect,
-                    has_stripe_seq, stripe_seq, trace_ctx, MuxTag{});
+  PostDataWwiTagged(wr_id, sges, remote_addr, rkey, indirect, has_stripe_seq,
+                    stripe_seq, trace_ctx, MuxTag{});
 }
 
-void ControlChannel::PostDataWwiTagged(std::uint64_t wr_id, const void* src,
-                                       std::uint32_t lkey, std::uint64_t len,
+void ControlChannel::PostDataWwiTagged(std::uint64_t wr_id,
+                                       std::span<const verbs::Sge> sges,
                                        std::uint64_t remote_addr,
                                        std::uint32_t rkey, bool indirect,
                                        bool has_stripe_seq,
@@ -229,69 +229,20 @@ void ControlChannel::PostDataWwiTagged(std::uint64_t wr_id, const void* src,
                                        std::uint64_t trace_ctx,
                                        const MuxTag& tag) {
   EXS_CHECK(wr_id != kControlWrId);
+  EXS_CHECK_MSG(!sges.empty() && sges.size() <= verbs::kMaxSge,
+                "a data WWI gathers 1.." << verbs::kMaxSge
+                                         << " elements, got " << sges.size());
   ConsumeCredit();
 
   verbs::SendWorkRequest wr;
   wr.wr_id = wr_id;
   wr.opcode = verbs::Opcode::kRdmaWriteWithImm;
-  wr.sge.addr = reinterpret_cast<std::uint64_t>(src);
-  wr.sge.length = static_cast<std::uint32_t>(len);
-  wr.sge.lkey = lkey;
+  wr.sge = sges[0];
+  for (std::size_t i = 1; i < sges.size(); ++i) wr.AddSge(sges[i]);
   wr.remote_addr = remote_addr;
   wr.rkey = rkey;
   wr.has_imm = true;
-  wr.imm = wire::EncodeDataImm(indirect, len);
-  wr.has_stripe_seq = has_stripe_seq;
-  wr.stripe_seq = stripe_seq;
-  wr.has_mux = tag.present;
-  wr.mux_stream = tag.stream;
-  wr.mux_seq = tag.seq;
-  wr.mux_epoch = tag.epoch;
-  wr.trace_ctx = trace_ctx;
-  ++outstanding_wrs_;
-  SampleInflightWrs();
-  EnqueueOrPost(wr);
-}
-
-void ControlChannel::PostDataWwiV(std::uint64_t wr_id, const SendSlice* slices,
-                                  std::uint32_t n, std::uint64_t len,
-                                  std::uint64_t remote_addr,
-                                  std::uint32_t rkey, bool indirect,
-                                  bool has_stripe_seq, std::uint64_t stripe_seq,
-                                  std::uint64_t trace_ctx) {
-  PostDataWwiVTagged(wr_id, slices, n, len, remote_addr, rkey, indirect,
-                     has_stripe_seq, stripe_seq, trace_ctx, MuxTag{});
-}
-
-void ControlChannel::PostDataWwiVTagged(
-    std::uint64_t wr_id, const SendSlice* slices, std::uint32_t n,
-    std::uint64_t len, std::uint64_t remote_addr, std::uint32_t rkey,
-    bool indirect, bool has_stripe_seq, std::uint64_t stripe_seq,
-    std::uint64_t trace_ctx, const MuxTag& tag) {
-  EXS_CHECK(wr_id != kControlWrId);
-  EXS_CHECK_MSG(n >= 1 && n <= verbs::kMaxSge,
-                "vectored post needs 1.." << verbs::kMaxSge << " slices, got "
-                                          << n);
-  ConsumeCredit();
-
-  verbs::SendWorkRequest wr;
-  wr.wr_id = wr_id;
-  wr.opcode = verbs::Opcode::kRdmaWriteWithImm;
-  wr.sge.addr = reinterpret_cast<std::uint64_t>(slices[0].addr);
-  wr.sge.length = slices[0].length;
-  wr.sge.lkey = slices[0].lkey;
-  for (std::uint32_t i = 1; i < n; ++i) {
-    wr.AddSge(verbs::Sge{reinterpret_cast<std::uint64_t>(slices[i].addr),
-                         slices[i].length, slices[i].lkey});
-  }
-  EXS_CHECK_MSG(wr.total_length() == len,
-                "gather list carries " << wr.total_length()
-                                       << " bytes but the chunk frames "
-                                       << len);
-  wr.remote_addr = remote_addr;
-  wr.rkey = rkey;
-  wr.has_imm = true;
-  wr.imm = wire::EncodeDataImm(indirect, len);
+  wr.imm = wire::EncodeDataImm(indirect, wr.total_length());
   wr.has_stripe_seq = has_stripe_seq;
   wr.stripe_seq = stripe_seq;
   wr.has_mux = tag.present;

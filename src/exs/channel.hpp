@@ -15,6 +15,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -55,15 +56,6 @@ class ControlSlotSource {
 
  private:
   std::shared_ptr<void> liveness_ = std::make_shared<char>(0);
-};
-
-/// One source slice of a vectored data post: the channel-layer face of a
-/// verbs gather element.  A PostDataWwiV slice list becomes the work
-/// request's SGE list, so it is bounded by verbs::kMaxSge entries.
-struct SendSlice {
-  const void* addr = nullptr;
-  std::uint32_t length = 0;
-  std::uint32_t lkey = 0;
 };
 
 /// The transport surface a protocol half (StreamTx/StreamRx/SeqPacket*/
@@ -116,28 +108,21 @@ class ChannelEndpoint {
   /// Send an ADVERT or ACK; fills in the piggybacked credit return (and,
   /// for mux endpoints, the stream id).  Caller must have checked CanSend().
   virtual void SendControl(wire::ControlMessage msg) = 0;
-  /// Post a data chunk as RDMA WRITE WITH IMM into peer memory.  Caller
-  /// must have checked CanSend().  `wr_id` is returned via on_data_sent.
-  /// When `has_stripe_seq`, the chunk carries `stripe_seq` in an extended
-  /// wire header (multi-rail striping) at kStripeHeaderBytes extra cost.
-  /// `trace_ctx` rides as zero-cost work-request metadata and surfaces in
-  /// the peer's on_data callback (0 = untraced).
-  virtual void PostDataWwi(std::uint64_t wr_id, const void* src,
-                           std::uint32_t lkey, std::uint64_t len,
+  /// Post a data chunk as RDMA WRITE WITH IMM into peer memory.  The
+  /// chunk is the bytes of `sges` in order (1..verbs::kMaxSge registered
+  /// elements, gathered by the HCA into one work request); its length
+  /// rides the imm.  Caller must have checked CanSend().  `wr_id` is
+  /// returned via on_data_sent.  When `has_stripe_seq`, the chunk carries
+  /// `stripe_seq` in an extended wire header (multi-rail striping) at
+  /// kStripeHeaderBytes extra cost.  `trace_ctx` rides as zero-cost
+  /// work-request metadata and surfaces in the peer's on_data callback
+  /// (0 = untraced).
+  virtual void PostDataWwi(std::uint64_t wr_id,
+                           std::span<const verbs::Sge> sges,
                            std::uint64_t remote_addr, std::uint32_t rkey,
                            bool indirect, bool has_stripe_seq = false,
                            std::uint64_t stripe_seq = 0,
                            std::uint64_t trace_ctx = 0) = 0;
-  /// Vectored PostDataWwi: the chunk's `len` payload bytes are gathered
-  /// from `n` slices (1 <= n <= verbs::kMaxSge, slice lengths summing to
-  /// exactly `len`) by the HCA — one work request, one wire chunk, no
-  /// staging copy.  Semantics otherwise identical to PostDataWwi.
-  virtual void PostDataWwiV(std::uint64_t wr_id, const SendSlice* slices,
-                            std::uint32_t n, std::uint64_t len,
-                            std::uint64_t remote_addr, std::uint32_t rkey,
-                            bool indirect, bool has_stripe_seq = false,
-                            std::uint64_t stripe_seq = 0,
-                            std::uint64_t trace_ctx = 0) = 0;
   /// Ring the doorbell for any data posts this endpoint is holding back
   /// under doorbell batching (StreamOptions::Batching::doorbell).  A no-op
   /// on endpoints that post eagerly — the default everywhere.
@@ -223,37 +208,20 @@ class ControlChannel : public ChannelEndpoint,
   /// Caller must have checked CanSend().
   void SendControl(wire::ControlMessage msg) override;
 
-  void PostDataWwi(std::uint64_t wr_id, const void* src, std::uint32_t lkey,
-                   std::uint64_t len, std::uint64_t remote_addr,
-                   std::uint32_t rkey, bool indirect,
-                   bool has_stripe_seq = false, std::uint64_t stripe_seq = 0,
+  void PostDataWwi(std::uint64_t wr_id, std::span<const verbs::Sge> sges,
+                   std::uint64_t remote_addr, std::uint32_t rkey,
+                   bool indirect, bool has_stripe_seq = false,
+                   std::uint64_t stripe_seq = 0,
                    std::uint64_t trace_ctx = 0) override;
 
-  /// PostDataWwi with a stream-multiplexing tag stamped on the work
-  /// request (kMuxHeaderBytes extra wire cost when present).  The plain
-  /// virtual overload forwards here with an absent tag.
-  void PostDataWwiTagged(std::uint64_t wr_id, const void* src,
-                         std::uint32_t lkey, std::uint64_t len,
+  /// The one data-WR builder: PostDataWwi with a stream-multiplexing tag
+  /// stamped on the work request (kMuxHeaderBytes extra wire cost when
+  /// present).  The virtual override forwards here with an absent tag.
+  void PostDataWwiTagged(std::uint64_t wr_id, std::span<const verbs::Sge> sges,
                          std::uint64_t remote_addr, std::uint32_t rkey,
                          bool indirect, bool has_stripe_seq,
                          std::uint64_t stripe_seq, std::uint64_t trace_ctx,
                          const MuxTag& tag);
-
-  void PostDataWwiV(std::uint64_t wr_id, const SendSlice* slices,
-                    std::uint32_t n, std::uint64_t len,
-                    std::uint64_t remote_addr, std::uint32_t rkey,
-                    bool indirect, bool has_stripe_seq = false,
-                    std::uint64_t stripe_seq = 0,
-                    std::uint64_t trace_ctx = 0) override;
-
-  /// Vectored variant of PostDataWwiTagged: the work request's gather list
-  /// is built from `slices` (lengths must sum to exactly `len`).
-  void PostDataWwiVTagged(std::uint64_t wr_id, const SendSlice* slices,
-                          std::uint32_t n, std::uint64_t len,
-                          std::uint64_t remote_addr, std::uint32_t rkey,
-                          bool indirect, bool has_stripe_seq,
-                          std::uint64_t stripe_seq, std::uint64_t trace_ctx,
-                          const MuxTag& tag);
 
   /// Arm doorbell batching: data WWIs accumulate in a pending list and are
   /// posted through QueuePair::PostSendBatch — one doorbell per batch —

@@ -40,10 +40,6 @@ SocketInstruments SocketInstruments::Create(metrics::Registry& registry) {
   inst.doorbell_batches = &registry.GetCounter("doorbell.batches", "doorbells");
   inst.doorbell_wrs = &registry.GetCounter("doorbell.wrs_batched", "wrs");
   inst.sendv_calls = &registry.GetCounter("tx.sendv_calls", "ops");
-  inst.coalesce_staging_copies =
-      &registry.GetCounter("tx.coalesce_staging_copies", "copies");
-  inst.coalesce_sg_flushes =
-      &registry.GetCounter("tx.coalesce_sg_flushes", "flushes");
   inst.mr_registrations = &registry.GetCounter("mr.registrations", "regions");
   inst.mr_cache_hits = &registry.GetCounter("mr.cache_hits", "pins");
 

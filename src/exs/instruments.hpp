@@ -42,15 +42,10 @@ struct SocketInstruments {
   metrics::Counter* coalesce_flush_close = nullptr;
   metrics::Counter* coalesce_flush_ordering = nullptr;
   // Hot-path batching (StreamOptions::batching): doorbells rung through
-  // batched posting and the WRs they covered; vectored Sendv() calls;
-  // staging-buffer memcpys on the coalesce path (exactly 0 while sendv
-  // aggregation is active — the zero-copy witness); flushes emitted as one
-  // multi-SGE gather WWI instead of a staged copy.
+  // batched posting and the WRs they covered; vectored Sendv() calls.
   metrics::Counter* doorbell_batches = nullptr;
   metrics::Counter* doorbell_wrs = nullptr;
   metrics::Counter* sendv_calls = nullptr;
-  metrics::Counter* coalesce_staging_copies = nullptr;
-  metrics::Counter* coalesce_sg_flushes = nullptr;
   // MR registration traffic on the socket's device (mirrored from
   // verbs::Device counters: actual registrations vs cache-served pins).
   metrics::Counter* mr_registrations = nullptr;

@@ -9,37 +9,7 @@
 
 namespace exs {
 
-std::string InvariantReport::Summary() const {
-  std::ostringstream oss;
-  if (violations.empty()) {
-    oss << "invariants hold (" << events_checked << " events checked)";
-  } else {
-    oss << violations.size() << " invariant violation(s) over "
-        << events_checked << " events:";
-    for (const auto& v : violations) oss << "\n  " << v;
-  }
-  for (const auto& w : warnings) oss << "\n  warning: " << w;
-  return oss.str();
-}
-
-void InvariantReport::Merge(const InvariantReport& other) {
-  violations.insert(violations.end(), other.violations.begin(),
-                    other.violations.end());
-  warnings.insert(warnings.end(), other.warnings.begin(),
-                  other.warnings.end());
-  events_checked += other.events_checked;
-  dropped_events += other.dropped_events;
-}
-
 namespace {
-
-void Violation(InvariantReport& report, const TraceEvent& ev,
-               const std::string& what) {
-  std::ostringstream oss;
-  oss << "t=" << ToMicroseconds(ev.time) << "us " << ToString(ev.type) << ": "
-      << what;
-  report.violations.push_back(oss.str());
-}
 
 /// Truncation / not-enabled gate shared by every entry point.  Returns
 /// false when the log cannot be meaningfully checked at all.
@@ -70,12 +40,6 @@ bool AdmitLog(const TraceLog& log, const InvariantCheckOptions& opts,
     report.warnings.push_back(oss.str());
   }
   return true;
-}
-
-void MergeLemmas(InvariantReport& report, const TraceCheckResult& lemmas) {
-  report.violations.insert(report.violations.end(),
-                           lemmas.violations.begin(),
-                           lemmas.violations.end());
 }
 
 /// True when the trace records a transport kill or a resume — the recovery
@@ -436,7 +400,7 @@ InvariantReport CheckStreamSenderTrace(const TraceLog& log,
                                        const InvariantCheckOptions& opts) {
   InvariantReport report;
   if (!AdmitLog(log, opts, "sender", report)) return report;
-  MergeLemmas(report, ValidateSenderTrace(log.events()));
+  report.Merge(ValidateSenderTrace(log.events()));
   report.Merge(StreamSenderExtras(log.events(), opts));
   return report;
 }
@@ -445,7 +409,7 @@ InvariantReport CheckStreamReceiverTrace(const TraceLog& log,
                                          const InvariantCheckOptions& opts) {
   InvariantReport report;
   if (!AdmitLog(log, opts, "receiver", report)) return report;
-  MergeLemmas(report, ValidateReceiverTrace(log.events()));
+  report.Merge(ValidateReceiverTrace(log.events()));
   report.Merge(StreamReceiverExtras(log.events(), opts));
   return report;
 }
@@ -459,8 +423,8 @@ InvariantReport CheckStreamPair(const TraceLog& sender_log,
   if (!sender_ok || !receiver_ok) return report;
 
   // The pair validator runs both per-side lemma sets plus conservation.
-  MergeLemmas(report, ValidateConnectionTraces(sender_log.events(),
-                                               receiver_log.events()));
+  report.Merge(ValidateConnectionTraces(sender_log.events(),
+                                       receiver_log.events()));
   report.Merge(StreamSenderExtras(sender_log.events(), opts));
   report.Merge(StreamReceiverExtras(receiver_log.events(), opts));
 

@@ -60,23 +60,6 @@ struct InvariantCheckOptions {
   std::uint32_t rails = 1;
 };
 
-/// Outcome of replaying one or more traces through the checker.
-struct InvariantReport {
-  std::vector<std::string> violations;
-  /// Non-fatal caveats about the *scope* of the check — most importantly
-  /// "this trace was truncated by its capacity, only the retained prefix
-  /// was validated".  A run with warnings still passes ok(), but silent
-  /// partial validation is exactly how bugs hide, so Summary() surfaces
-  /// them and harnesses are expected to print it.
-  std::vector<std::string> warnings;
-  std::uint64_t events_checked = 0;
-  std::uint64_t dropped_events = 0;
-
-  bool ok() const { return violations.empty(); }
-  std::string Summary() const;
-  void Merge(const InvariantReport& other);
-};
-
 /// Check the sender half of a stream connection (a socket's tx_trace).
 InvariantReport CheckStreamSenderTrace(const TraceLog& log,
                                        const InvariantCheckOptions& opts = {});

@@ -299,8 +299,8 @@ void MuxStream::SendControl(wire::ControlMessage msg) {
   slot_->SendControl(msg);
 }
 
-void MuxStream::PostDataWwi(std::uint64_t wr_id, const void* src,
-                            std::uint32_t lkey, std::uint64_t len,
+void MuxStream::PostDataWwi(std::uint64_t wr_id,
+                            std::span<const verbs::Sge> sges,
                             std::uint64_t remote_addr, std::uint32_t rkey,
                             bool indirect, bool has_stripe_seq,
                             std::uint64_t stripe_seq,
@@ -317,34 +317,12 @@ void MuxStream::PostDataWwi(std::uint64_t wr_id, const void* src,
   ++outstanding_;
   ++group_->stats_.data_posted;
   if (group_->rotations_[slot_index_].in_round) {
+    std::uint64_t len = 0;
+    for (const verbs::Sge& sge : sges) len += sge.length;
     deficit_ -= std::min(deficit_, len);
   }
-  slot_->PostDataWwiTagged(wr_id, src, lkey, len, remote_addr, rkey, indirect,
+  slot_->PostDataWwiTagged(wr_id, sges, remote_addr, rkey, indirect,
                            has_stripe_seq, stripe_seq, trace_ctx, tag);
-}
-
-void MuxStream::PostDataWwiV(std::uint64_t wr_id, const SendSlice* slices,
-                             std::uint32_t n, std::uint64_t len,
-                             std::uint64_t remote_addr, std::uint32_t rkey,
-                             bool indirect, bool has_stripe_seq,
-                             std::uint64_t stripe_seq,
-                             std::uint64_t trace_ctx) {
-  EXS_CHECK_MSG(!group_alive_.expired(), "post on a stream whose group died");
-  EXS_CHECK_MSG(!dead_, "post on a dead mux stream");
-  NoteUnblocked();
-  ControlChannel::MuxTag tag;
-  tag.present = true;
-  tag.stream = id_;
-  tag.seq = tx_seq_++;
-  tag.epoch = epoch_;
-  group_->slot_fifo_[slot_index_].push_back({id_, wr_id, epoch_});
-  ++outstanding_;
-  ++group_->stats_.data_posted;
-  if (group_->rotations_[slot_index_].in_round) {
-    deficit_ -= std::min(deficit_, len);
-  }
-  slot_->PostDataWwiVTagged(wr_id, slices, n, len, remote_addr, rkey, indirect,
-                            has_stripe_seq, stripe_seq, trace_ctx, tag);
 }
 
 void MuxStream::PostRead(std::uint64_t, void*, std::uint32_t, std::uint64_t,

@@ -230,17 +230,11 @@ class MuxStream : public ChannelEndpoint {
   bool CanSend() const override;
   bool dead() const override { return dead_; }
   void SendControl(wire::ControlMessage msg) override;
-  void PostDataWwi(std::uint64_t wr_id, const void* src, std::uint32_t lkey,
-                   std::uint64_t len, std::uint64_t remote_addr,
-                   std::uint32_t rkey, bool indirect,
-                   bool has_stripe_seq = false, std::uint64_t stripe_seq = 0,
+  void PostDataWwi(std::uint64_t wr_id, std::span<const verbs::Sge> sges,
+                   std::uint64_t remote_addr, std::uint32_t rkey,
+                   bool indirect, bool has_stripe_seq = false,
+                   std::uint64_t stripe_seq = 0,
                    std::uint64_t trace_ctx = 0) override;
-  void PostDataWwiV(std::uint64_t wr_id, const SendSlice* slices,
-                    std::uint32_t n, std::uint64_t len,
-                    std::uint64_t remote_addr, std::uint32_t rkey,
-                    bool indirect, bool has_stripe_seq = false,
-                    std::uint64_t stripe_seq = 0,
-                    std::uint64_t trace_ctx = 0) override;
   /// Rendezvous sockets keep dedicated channels; a muxed READ would bypass
   /// the credit layering entirely.
   void PostRead(std::uint64_t wr_id, void* dst, std::uint32_t lkey,

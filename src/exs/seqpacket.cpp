@@ -50,7 +50,9 @@ void SeqPacketTx::Pump() {
     Trace(TraceEventType::kDirectPosted, bytes);
     seq_ += bytes;
     awaiting_ack_.push_back(Sent{s.id, bytes, truncated});
-    ctx_.channel->PostDataWwi(s.id, s.base, s.lkey, bytes, a.addr, a.rkey,
+    const verbs::Sge sge{reinterpret_cast<std::uint64_t>(s.base),
+                         static_cast<std::uint32_t>(bytes), s.lkey};
+    ctx_.channel->PostDataWwi(s.id, {&sge, 1}, a.addr, a.rkey,
                               /*indirect=*/false);
   }
 

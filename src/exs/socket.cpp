@@ -1,6 +1,7 @@
 #include "exs/socket.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "common/check.hpp"
@@ -396,9 +397,12 @@ std::uint64_t Socket::Sendv(const IoSlice* iov, std::uint32_t n,
   EXS_CHECK_MSG(n >= 1 && n <= verbs::kMaxSge,
                 "Sendv arity must be 1.." << verbs::kMaxSge << ", got " << n);
   std::uint64_t id = next_request_id_++;
-  SendSlice slices[verbs::kMaxSge];
+  inst_.sendv_calls->Increment();
+  verbs::Sge sges[verbs::kMaxSge];
   std::vector<verbs::MemoryRegionPtr> pins;
   for (std::uint32_t i = 0; i < n; ++i) {
+    EXS_CHECK_MSG(iov[i].len <= std::numeric_limits<std::uint32_t>::max(),
+                  "Sendv slice exceeds one gather element");
     std::uint32_t lkey = 0;
     if (iov[i].len > 0) {
       if (device_->mr_cache_enabled()) {
@@ -410,10 +414,10 @@ std::uint64_t Socket::Sendv(const IoSlice* iov, std::uint32_t n,
         lkey = FindOrRegister(iov[i].addr, iov[i].len)->lkey();
       }
     }
-    slices[i] = SendSlice{iov[i].addr,
-                          static_cast<std::uint32_t>(iov[i].len), lkey};
+    sges[i] = verbs::Sge{reinterpret_cast<std::uint64_t>(iov[i].addr),
+                         static_cast<std::uint32_t>(iov[i].len), lkey};
   }
-  tx_->SubmitV(id, slices, n, std::move(pins));
+  tx_->SubmitV(id, {sges, n}, std::move(pins));
   return id;
 }
 
@@ -471,8 +475,6 @@ StreamStats Socket::stats() const {
   s.doorbell_batches = inst_.doorbell_batches->value();
   s.batched_wrs = inst_.doorbell_wrs->value();
   s.sendv_calls = inst_.sendv_calls->value();
-  s.coalesce_staging_copies = inst_.coalesce_staging_copies->value();
-  s.coalesce_sg_flushes = inst_.coalesce_sg_flushes->value();
   // Device-level truth (the registry mirrors only arm with the cache):
   // actual registrations and cache-served pins on this socket's device.
   s.mr_registrations = device_->mr_cache_stats().registrations;

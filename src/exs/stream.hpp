@@ -16,11 +16,13 @@
 // previous phase has been satisfied (the Fig. 7 rule).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -154,21 +156,24 @@ class StreamTx {
   }
 
   /// Queue a send request.  `lkey` names the registered region covering
-  /// [buf, buf+len).  Completion is reported on the event queue once every
-  /// chunk has been transferred and locally completed.
+  /// [buf, buf+len), which must fit one gather element (< 4 GiB).
+  /// Completion is reported on the event queue once every chunk has been
+  /// transferred and locally completed.  A small send may wait in the
+  /// coalescing stage (StreamOptions::coalesce).
   void Submit(std::uint64_t id, const void* buf, std::uint64_t len,
               std::uint32_t lkey);
 
   /// Queue a vectored send: one logical send (one id, one completion)
-  /// whose payload is gathered from `n` registered slices.  The slices ride
-  /// the wire as multi-SGE work requests — no staging copy — with chunks
-  /// clipped so no single WR needs more than verbs::kMaxSge gather entries.
-  /// Slice buffers must stay valid until the send completes, exactly like
+  /// whose payload is gathered from 1..verbs::kMaxSge registered slices
+  /// (zero-length ones carry nothing).  Each chunk rides the wire as one
+  /// multi-SGE work request over the slices it spans — no staging copy,
+  /// and a vectored send never waits in the coalescing stage.  Slice
+  /// buffers must stay valid until the send completes, exactly like
   /// Submit's.  With recovery on, the slices are snapshotted into an owned
   /// contiguous log record instead (retransmission needs the bytes anyway).
   /// `pins` are registration-cache pins covering the slices; they are
   /// released (Device::UnpinCached) when the send completes.
-  void SubmitV(std::uint64_t id, const SendSlice* slices, std::uint32_t n,
+  void SubmitV(std::uint64_t id, std::span<const verbs::Sge> sges,
                std::vector<verbs::MemoryRegionPtr> pins = {});
 
   void OnAdvert(const wire::ControlMessage& msg);
@@ -249,22 +254,19 @@ class StreamTx {
 
  private:
   /// One member of a coalesced aggregate: a small send that was merged.
-  /// `base`/`lkey` name the member's original buffer — used only by sendv
-  /// aggregation (Batching::sendv_aggregation), where the flush gathers
-  /// members by reference instead of from a staging copy.
   struct StagedSend {
     std::uint64_t id = 0;
     std::uint64_t len = 0;
-    const std::uint8_t* base = nullptr;
-    std::uint32_t lkey = 0;
   };
 
   struct PendingSend {
     std::uint64_t id = 0;
-    const std::uint8_t* base = nullptr;
+    /// The record's payload, in stream order: one element for a Send, a
+    /// coalesced aggregate or a recovery snapshot; a Sendv's own slices.
+    std::array<verbs::Sge, verbs::kMaxSge> sges{};
+    std::uint32_t num_sges = 0;
     std::uint64_t len = 0;
     std::uint64_t sent = 0;
-    std::uint32_t lkey = 0;
     std::uint32_t wwis_outstanding = 0;
     bool fully_chunked = false;
     /// Recovery bookkeeping: offset of this record's first byte in the
@@ -278,19 +280,24 @@ class StreamTx {
     SimTime submit_time = 0;
     SimTime flush_time = 0;
     bool coalesced = false;
-    /// Coalesced aggregate only: the merged payload (base points into it)
-    /// and the member sends, completed individually in submission order
-    /// once every chunk of the aggregate has transferred.
+    /// A coalesced aggregate's merged payload or a recovery snapshot (the
+    /// record's one element then points into it).
     std::vector<std::uint8_t> owned;
     verbs::MemoryRegionPtr owned_mr;
+    /// Coalesced aggregate only: the member sends, completed individually
+    /// in submission order once every chunk of the aggregate has
+    /// transferred.
     std::vector<StagedSend> members;
-    /// Vectored payload (SubmitV, or sendv-aggregated coalescing): the
-    /// record's bytes live in these slices instead of [base, base+len).
-    /// Empty = classic contiguous record.
-    std::vector<SendSlice> slices;
     /// Registration-cache pins taken for this record's slices, dropped
     /// (verbs::Device::UnpinCached) when the send completes.
     std::vector<verbs::MemoryRegionPtr> pinned;
+
+    /// Describe the payload as `owned` (registered as `owned_mr`).
+    void UseOwned() {
+      sges[0] = verbs::Sge{reinterpret_cast<std::uint64_t>(owned.data()),
+                           static_cast<std::uint32_t>(len), owned_mr->lkey()};
+      num_sges = 1;
+    }
   };
 
   /// A received ADVERT queued at the sender (the paper's q_A).
@@ -315,24 +322,10 @@ class StreamTx {
                   std::size_t rail);
   void PostIndirect(PendingSend& s, std::uint64_t len, std::size_t rail);
   /// Post one chunk of `s` — [s.sent, s.sent+len) — as a WWI on `rail`,
-  /// contiguous or gathered from the record's slice list.
+  /// gathered from the record's elements.
   void PostWwiChunk(PendingSend& s, std::uint64_t len,
                     std::uint64_t remote_addr, std::uint32_t rkey,
                     bool indirect, std::size_t rail, std::uint64_t trace_ctx);
-  /// Sendv aggregation active?  Requires coalescing and is suspended while
-  /// recovery is on (the retransmission log needs owned snapshots).
-  bool AggregationOn() const {
-    return ctx_.options.batching.sendv_aggregation &&
-           ctx_.options.coalesce.enabled && !RecoveryOn();
-  }
-  /// Clip a sliced record's chunk so one WR never needs more than
-  /// verbs::kMaxSge gather entries.  Identity for contiguous records.
-  std::uint64_t ClipChunkToSges(const PendingSend& s, std::uint64_t len) const;
-  /// Build the gather window [off, off+len) of a sliced record into `out`
-  /// (capacity verbs::kMaxSge — guaranteed to fit by ClipChunkToSges).
-  /// Returns the entry count; zero-length slices contribute nothing.
-  std::uint32_t BuildSliceWindow(const PendingSend& s, std::uint64_t off,
-                                 std::uint64_t len, SendSlice* out) const;
   void NoteTransfer(bool indirect);
   bool Striping() const { return rails_.size() > 1; }
   ChannelEndpoint* Rail(std::size_t rail) {
@@ -347,14 +340,18 @@ class StreamTx {
   /// Per-rail outstanding-byte accounting at post time; also advances the
   /// stripe sequence and the round-robin cursor.
   void NoteStripePosted(std::size_t rail, std::uint64_t len);
+  /// The one send-record builder behind Submit and SubmitV: completes a
+  /// zero-length send at once, stages a small one when `may_stage` (Submit
+  /// only), and otherwise flushes staged bytes ahead of it, snapshots the
+  /// payload under recovery, and queues the record.
+  void Enqueue(std::uint64_t id, std::span<const verbs::Sge> sges,
+               bool may_stage, std::vector<verbs::MemoryRegionPtr> pins);
   /// Coalescing: is this send small enough — and the connection in a state
   /// where holding it back cannot delay a direct transfer?
   bool ShouldStage(std::uint64_t len) const;
-  /// Append a small send to the staging buffer (flushing first if it would
-  /// not fit), arming the max_delay timer on the first staged byte.  Under
-  /// sendv aggregation the bytes are recorded by reference — no memcpy.
-  void StageCoalesced(std::uint64_t id, const void* buf, std::uint64_t len,
-                      std::uint32_t lkey);
+  /// Copy a small send into the staging buffer (flushing first if it would
+  /// not fit), arming the max_delay timer on the first staged byte.
+  void StageCoalesced(std::uint64_t id, const void* buf, std::uint64_t len);
   /// Merge every staged send into one aggregate PendingSend at the back of
   /// the chunk queue.  Only appends — safe to call from inside Pump; all
   /// other callers run Pump() afterwards.

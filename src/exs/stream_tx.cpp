@@ -2,7 +2,9 @@
 // plus the small-transfer coalescing stage (StreamOptions::coalesce).
 #include "exs/stream.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "common/check.hpp"
 #include "common/logging.hpp"
@@ -64,21 +66,42 @@ void StreamTx::NoteStripePosted(std::size_t rail, std::uint64_t len) {
 
 void StreamTx::Submit(std::uint64_t id, const void* buf, std::uint64_t len,
                       std::uint32_t lkey) {
+  EXS_CHECK_MSG(len <= std::numeric_limits<std::uint32_t>::max(),
+                "a send must fit one gather element");
+  const verbs::Sge sge{reinterpret_cast<std::uint64_t>(buf),
+                       static_cast<std::uint32_t>(len), lkey};
+  Enqueue(id, {&sge, 1}, /*may_stage=*/true, {});
+}
+
+void StreamTx::SubmitV(std::uint64_t id, std::span<const verbs::Sge> sges,
+                       std::vector<verbs::MemoryRegionPtr> pins) {
+  EXS_CHECK_MSG(!sges.empty() && sges.size() <= verbs::kMaxSge,
+                "Sendv arity must be 1.." << verbs::kMaxSge << ", got "
+                                          << sges.size());
+  Enqueue(id, sges, /*may_stage=*/false, std::move(pins));
+}
+
+void StreamTx::Enqueue(std::uint64_t id, std::span<const verbs::Sge> sges,
+                       bool may_stage,
+                       std::vector<verbs::MemoryRegionPtr> pins) {
   EXS_CHECK_MSG(!shutdown_requested_, "send after Close()");
+  std::uint64_t len = 0;
+  for (const verbs::Sge& sge : sges) len += sge.length;
 
   if (len == 0) {
     // Zero-length sends complete immediately; a byte stream carries no
     // message boundaries, so there is nothing to transfer.  The trace still
     // records the submission — an invisible code path would be beyond the
     // reach of the golden-trace and invariant suites.
+    for (const auto& mr : pins) ctx_.channel->device().UnpinCached(mr);
     Trace(TraceEventType::kZeroLengthSend);
     ctx_.metrics->sends_completed->Increment();
     ctx_.events->Push(Event{EventType::kSendComplete, id, 0, false});
     return;
   }
 
-  if (ShouldStage(len)) {
-    StageCoalesced(id, buf, len, lkey);
+  if (may_stage && ShouldStage(len)) {
+    StageCoalesced(id, reinterpret_cast<const void*>(sges[0].addr), len);
     Pump();  // a max-bytes flush may just have queued an aggregate
     return;
   }
@@ -90,74 +113,29 @@ void StreamTx::Submit(std::uint64_t id, const void* buf, std::uint64_t len,
 
   auto rec = std::make_shared<PendingSend>();
   rec->id = id;
-  rec->base = static_cast<const std::uint8_t*>(buf);
   rec->len = len;
-  rec->lkey = lkey;
   rec->submit_time = ctx_.scheduler->Now();
   rec->flush_time = rec->submit_time;  // never staged
   if (RecoveryOn()) {
-    // Snapshot the payload: the application's buffer is released at send
+    // Snapshot the payload: the application's buffers are released at send
     // completion, but retransmission after a kill may need the bytes long
     // after that (the completion fallacy — completion is not delivery).
+    // A Sendv's slices are gathered host-side into the one snapshot.
     rec->owned.resize(len);
-    if (ctx_.carry_payload) std::memcpy(rec->owned.data(), buf, len);
-    rec->owned_mr =
-        ctx_.channel->device().RegisterMemory(rec->owned.data(), len);
-    rec->base = rec->owned.data();
-    rec->lkey = rec->owned_mr->lkey();
-  }
-  inflight_.emplace(id, rec);
-  chunk_queue_.push_back(rec);
-  NoteQueued(rec);
-  Pump();
-}
-
-void StreamTx::SubmitV(std::uint64_t id, const SendSlice* slices,
-                       std::uint32_t n,
-                       std::vector<verbs::MemoryRegionPtr> pins) {
-  EXS_CHECK_MSG(!shutdown_requested_, "send after Close()");
-  EXS_CHECK_MSG(n >= 1 && n <= verbs::kMaxSge,
-                "Sendv arity must be 1.." << verbs::kMaxSge << ", got " << n);
-  ctx_.metrics->sendv_calls->Increment();
-
-  std::uint64_t total = 0;
-  for (std::uint32_t i = 0; i < n; ++i) total += slices[i].length;
-  if (total == 0) {
-    for (const auto& mr : pins) ctx_.channel->device().UnpinCached(mr);
-    Trace(TraceEventType::kZeroLengthSend);
-    ctx_.metrics->sends_completed->Increment();
-    ctx_.events->Push(Event{EventType::kSendComplete, id, 0, false});
-    return;
-  }
-  if (!staged_.empty()) {
-    // Staged bytes precede this send in the stream.
-    FlushCoalesced(CoalesceFlushReason::kOrdering);
-  }
-
-  auto rec = std::make_shared<PendingSend>();
-  rec->id = id;
-  rec->len = total;
-  rec->submit_time = ctx_.scheduler->Now();
-  rec->flush_time = rec->submit_time;
-  if (RecoveryOn()) {
-    // The retransmission log needs an owned snapshot anyway, so recovery
-    // mode gathers the slices host-side into a contiguous record — the
-    // vectored call keeps its semantics, not its zero-copy.
-    rec->owned.resize(total);
     std::uint64_t off = 0;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (ctx_.carry_payload && slices[i].length > 0) {
-        std::memcpy(rec->owned.data() + off, slices[i].addr,
-                    slices[i].length);
+    for (const verbs::Sge& sge : sges) {
+      if (ctx_.carry_payload && sge.length > 0) {
+        std::memcpy(rec->owned.data() + off,
+                    reinterpret_cast<const void*>(sge.addr), sge.length);
       }
-      off += slices[i].length;
+      off += sge.length;
     }
     rec->owned_mr =
-        ctx_.channel->device().RegisterMemory(rec->owned.data(), total);
-    rec->base = rec->owned.data();
-    rec->lkey = rec->owned_mr->lkey();
+        ctx_.channel->device().RegisterMemory(rec->owned.data(), len);
+    rec->UseOwned();
   } else {
-    rec->slices.assign(slices, slices + n);
+    std::copy(sges.begin(), sges.end(), rec->sges.begin());
+    rec->num_sges = static_cast<std::uint32_t>(sges.size());
   }
   rec->pinned = std::move(pins);
   inflight_.emplace(id, rec);
@@ -199,33 +177,26 @@ bool StreamTx::ShouldStage(std::uint64_t len) const {
 }
 
 void StreamTx::StageCoalesced(std::uint64_t id, const void* buf,
-                              std::uint64_t len, std::uint32_t lkey) {
+                              std::uint64_t len) {
   const auto& knobs = ctx_.options.coalesce;
   if (staged_bytes_ + len > knobs.max_bytes) {
     // Would overflow the staging buffer: flush what is held, then stage
     // this send into the fresh buffer (the overflow split).
     FlushCoalesced(CoalesceFlushReason::kMaxBytes);
   }
-  if (!AggregationOn()) {
-    // Classic staging: copy the member into the owned buffer.  Under sendv
-    // aggregation the member is held by reference instead and the flush
-    // gathers it with an SGE — no buffer, no registration, no memcpy.
-    if (staging_mem_.empty()) {
-      // Each flush hands the buffer's ownership to its aggregate (the bytes
-      // must stay put until the merged WWI completes), so staging restarts
-      // with a fresh registered region.
-      staging_mem_.resize(knobs.max_bytes);
-      staging_mr_ = ctx_.channel->device().RegisterMemory(
-          staging_mem_.data(), staging_mem_.size());
-    }
-    ctx_.metrics->coalesce_staging_copies->Increment();
-    if (ctx_.carry_payload) {
-      std::memcpy(staging_mem_.data() + staged_bytes_, buf, len);
-    }
+  if (staging_mem_.empty()) {
+    // Each flush hands the buffer's ownership to its aggregate (the bytes
+    // must stay put until the merged WWI completes), so staging restarts
+    // with a fresh registered region.
+    staging_mem_.resize(knobs.max_bytes);
+    staging_mr_ = ctx_.channel->device().RegisterMemory(staging_mem_.data(),
+                                                        staging_mem_.size());
+  }
+  if (ctx_.carry_payload) {
+    std::memcpy(staging_mem_.data() + staged_bytes_, buf, len);
   }
   if (staged_.empty()) staged_first_time_ = ctx_.scheduler->Now();
-  staged_.push_back(
-      StagedSend{id, len, static_cast<const std::uint8_t*>(buf), lkey});
+  staged_.push_back(StagedSend{id, len});
   staged_bytes_ += len;
   ctx_.metrics->coalesced_sends->Increment();
   ctx_.metrics->coalesced_bytes->Add(len);
@@ -249,23 +220,10 @@ void StreamTx::FlushCoalesced(CoalesceFlushReason reason) {
   flush_timer_.Cancel();
   auto rec = std::make_shared<PendingSend>();
   rec->id = staged_.front().id;  // WWI wr_ids resolve to the aggregate
-  if (AggregationOn()) {
-    // Zero-copy flush: the aggregate's payload stays in the members'
-    // buffers, gathered on the wire as an SGE list.
-    rec->slices.reserve(staged_.size());
-    for (const StagedSend& m : staged_) {
-      rec->slices.push_back(
-          SendSlice{m.base, static_cast<std::uint32_t>(m.len), m.lkey});
-    }
-    rec->len = staged_bytes_;
-    ctx_.metrics->coalesce_sg_flushes->Increment();
-  } else {
-    rec->owned = std::move(staging_mem_);
-    rec->owned_mr = std::move(staging_mr_);
-    rec->base = rec->owned.data();
-    rec->len = staged_bytes_;
-    rec->lkey = rec->owned_mr->lkey();
-  }
+  rec->len = staged_bytes_;
+  rec->owned = std::move(staging_mem_);
+  rec->owned_mr = std::move(staging_mr_);
+  rec->UseOwned();
   rec->members = std::move(staged_);
   // The aggregate's staging span starts when its oldest member entered
   // the buffer and ends now.
@@ -450,7 +408,6 @@ void StreamTx::PumpChunks() {
       }
       std::uint64_t len =
           NextChunkLen(s.len - s.sent, advert.len - advert.filled, MaxChunk());
-      len = ClipChunkToSges(s, len);
       PostDirect(s, advert, len, rail);
       seq_ += len;
       s.sent += len;
@@ -467,7 +424,6 @@ void StreamTx::PumpChunks() {
       if (rail == kNoRail) return;
       std::uint64_t len = NextChunkLen(
           s.len - s.sent, remote_ring_.ContiguousWritable(), MaxChunk());
-      len = ClipChunkToSges(s, len);
       if (PhaseIsDirect(phase_)) {
         // First indirect transfer of a burst (Fig. 2 lines 18-20).
         AdvancePhaseTo(NextPhase(phase_));
@@ -563,70 +519,31 @@ void StreamTx::PostWwiChunk(PendingSend& s, std::uint64_t len,
                             std::uint64_t remote_addr, std::uint32_t rkey,
                             bool indirect, std::size_t rail,
                             std::uint64_t trace_ctx) {
-  if (s.slices.empty()) {
-    Rail(rail)->PostDataWwi(s.id, s.base + s.sent, s.lkey, len, remote_addr,
-                            rkey, indirect, Striping(), stripe_seq_,
-                            trace_ctx);
-    return;
-  }
-  SendSlice window[verbs::kMaxSge];
-  std::uint32_t n = BuildSliceWindow(s, s.sent, len, window);
-  Rail(rail)->PostDataWwiV(s.id, window, n, len, remote_addr, rkey, indirect,
-                           Striping(), stripe_seq_, trace_ctx);
-}
-
-std::uint64_t StreamTx::ClipChunkToSges(const PendingSend& s,
-                                        std::uint64_t len) const {
-  if (s.slices.empty() || len == 0) return len;
-  // Walk the slice list from the chunk's start offset, accumulating bytes
-  // until either `len` is covered or a kMaxSge-entry window is full; the
-  // chunk is clipped to what one work request can gather.  Zero-length
-  // slices consume no entry (BuildSliceWindow skips them).
-  std::uint64_t pos = 0;
-  std::size_t i = 0;
-  while (i < s.slices.size() && pos + s.slices[i].length <= s.sent) {
-    pos += s.slices[i].length;
-    ++i;
-  }
-  std::uint32_t entries = 0;
-  std::uint64_t avail = 0;
-  for (; i < s.slices.size() && entries < verbs::kMaxSge; ++i) {
-    std::uint64_t skip = s.sent > pos ? s.sent - pos : 0;
-    std::uint64_t take = s.slices[i].length - skip;
-    pos += s.slices[i].length;
-    if (take == 0) continue;
-    ++entries;
-    avail += take;
-    if (avail >= len) return len;
-  }
-  return avail < len ? avail : len;
-}
-
-std::uint32_t StreamTx::BuildSliceWindow(const PendingSend& s,
-                                         std::uint64_t off, std::uint64_t len,
-                                         SendSlice* out) const {
+  // Gather [s.sent, s.sent + len) from the record's elements: skip those
+  // that end before the chunk (zero-length ones always do) and trim the
+  // first and last.  A record holds at most kMaxSge elements, so the
+  // chunk always fits one work request.
+  verbs::Sge chunk[verbs::kMaxSge];
   std::uint32_t n = 0;
   std::uint64_t pos = 0;
-  for (const SendSlice& slice : s.slices) {
-    if (len == 0) break;
-    std::uint64_t end = pos + slice.length;
+  std::uint64_t off = s.sent;
+  std::uint64_t left = len;
+  for (std::uint32_t i = 0; i < s.num_sges && left > 0; ++i) {
+    const verbs::Sge& sge = s.sges[i];
+    const std::uint64_t end = pos + sge.length;
     if (end > off) {
-      std::uint64_t skip = off - pos;
-      std::uint64_t take = slice.length - skip;
-      if (take > len) take = len;
-      if (take > 0) {
-        EXS_CHECK(n < verbs::kMaxSge);  // guaranteed by ClipChunkToSges
-        out[n++] = SendSlice{
-            static_cast<const std::uint8_t*>(slice.addr) + skip,
-            static_cast<std::uint32_t>(take), slice.lkey};
-        off += take;
-        len -= take;
-      }
+      const std::uint64_t skip = off - pos;
+      const std::uint64_t take = std::min(sge.length - skip, left);
+      chunk[n++] = verbs::Sge{sge.addr + skip,
+                              static_cast<std::uint32_t>(take), sge.lkey};
+      off += take;
+      left -= take;
     }
     pos = end;
   }
-  EXS_CHECK_MSG(len == 0, "slice window ran past the record's payload");
-  return n;
+  EXS_CHECK_MSG(left == 0, "chunk runs past the record's payload");
+  Rail(rail)->PostDataWwi(s.id, {chunk, n}, remote_addr, rkey, indirect,
+                          Striping(), stripe_seq_, trace_ctx);
 }
 
 void StreamTx::NoteTransfer(bool indirect) {

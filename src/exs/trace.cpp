@@ -66,28 +66,38 @@ std::string TraceLog::Format() const {
   return oss.str();
 }
 
-std::string TraceCheckResult::Summary() const {
-  if (violations.empty()) return "all lemma checks passed";
+std::string InvariantReport::Summary() const {
   std::ostringstream oss;
-  oss << violations.size() << " violation(s):";
-  for (const auto& v : violations) oss << "\n  " << v;
+  if (violations.empty()) {
+    oss << "invariants hold (" << events_checked << " events checked)";
+  } else {
+    oss << violations.size() << " invariant violation(s) over "
+        << events_checked << " events:";
+    for (const auto& v : violations) oss << "\n  " << v;
+  }
+  for (const auto& w : warnings) oss << "\n  warning: " << w;
   return oss.str();
 }
 
-namespace {
-
-void Violation(TraceCheckResult& result, const TraceEvent& ev,
-               const std::string& what) {
-  std::ostringstream oss;
-  oss << "t=" << ToMicroseconds(ev.time) << "us " << ToString(ev.type)
-      << ": " << what;
-  result.violations.push_back(oss.str());
+void InvariantReport::Merge(const InvariantReport& other) {
+  violations.insert(violations.end(), other.violations.begin(),
+                    other.violations.end());
+  warnings.insert(warnings.end(), other.warnings.begin(),
+                  other.warnings.end());
+  events_checked += other.events_checked;
+  dropped_events += other.dropped_events;
 }
 
-}  // namespace
+void Violation(InvariantReport& report, const TraceEvent& ev,
+               const std::string& what) {
+  std::ostringstream oss;
+  oss << "t=" << ToMicroseconds(ev.time) << "us " << ToString(ev.type) << ": "
+      << what;
+  report.violations.push_back(oss.str());
+}
 
-TraceCheckResult ValidateSenderTrace(const std::vector<TraceEvent>& events) {
-  TraceCheckResult result;
+InvariantReport ValidateSenderTrace(const std::vector<TraceEvent>& events) {
+  InvariantReport result;
   std::uint64_t last_phase = 0;
   std::uint64_t last_seq = 0;
   bool sent_anything = false;
@@ -187,9 +197,9 @@ TraceCheckResult ValidateSenderTrace(const std::vector<TraceEvent>& events) {
   return result;
 }
 
-TraceCheckResult ValidateReceiverTrace(
+InvariantReport ValidateReceiverTrace(
     const std::vector<TraceEvent>& events) {
-  TraceCheckResult result;
+  InvariantReport result;
   std::uint64_t last_phase = 0;
   std::uint64_t last_seq = 0;
   bool advert_seen_since_indirect = false;
@@ -276,13 +286,11 @@ TraceCheckResult ValidateReceiverTrace(
   return result;
 }
 
-TraceCheckResult ValidateConnectionTraces(
+InvariantReport ValidateConnectionTraces(
     const std::vector<TraceEvent>& sender_events,
     const std::vector<TraceEvent>& receiver_events) {
-  TraceCheckResult result = ValidateSenderTrace(sender_events);
-  TraceCheckResult rx = ValidateReceiverTrace(receiver_events);
-  result.violations.insert(result.violations.end(), rx.violations.begin(),
-                           rx.violations.end());
+  InvariantReport result = ValidateSenderTrace(sender_events);
+  result.Merge(ValidateReceiverTrace(receiver_events));
 
   // Conservation: bytes posted by kind equal bytes arriving by kind.  A
   // run with a transport kill breaks this per-kind identity legitimately —

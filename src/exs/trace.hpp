@@ -138,22 +138,40 @@ class TraceLog {
   std::vector<TraceEvent> events_;
 };
 
-/// Result of checking one run's traces against the paper's statements.
-struct TraceCheckResult {
+/// Outcome of checking traces against the paper's statements.  The lemma
+/// validators below and every rule of the invariant checker
+/// (exs/invariant_checker.hpp) report through this one type.  The lemma
+/// validators record violations only; events_checked and dropped_events
+/// are counted by the checker entry points that admit a log.
+struct InvariantReport {
   std::vector<std::string> violations;
+  /// Non-fatal caveats about the *scope* of the check — most importantly
+  /// "this trace was truncated by its capacity, only the retained prefix
+  /// was validated".  A run with warnings still passes ok(), but silent
+  /// partial validation is exactly how bugs hide, so Summary() surfaces
+  /// them and harnesses are expected to print it.
+  std::vector<std::string> warnings;
+  std::uint64_t events_checked = 0;
+  std::uint64_t dropped_events = 0;
+
   bool ok() const { return violations.empty(); }
   std::string Summary() const;
+  void Merge(const InvariantReport& other);
 };
 
+/// Record a rule broken at `ev`, formatted "t=<µs>us <event>: <what>".
+void Violation(InvariantReport& report, const TraceEvent& ev,
+               const std::string& what);
+
 /// Validate a *sender-side* trace (the outgoing half of one socket).
-TraceCheckResult ValidateSenderTrace(const std::vector<TraceEvent>& events);
+InvariantReport ValidateSenderTrace(const std::vector<TraceEvent>& events);
 
 /// Validate a *receiver-side* trace (the incoming half of one socket).
-TraceCheckResult ValidateReceiverTrace(const std::vector<TraceEvent>& events);
+InvariantReport ValidateReceiverTrace(const std::vector<TraceEvent>& events);
 
 /// Validate the pair: sender trace of one socket against the receiver
 /// trace of its peer (cross-checks byte totals and phase agreement).
-TraceCheckResult ValidateConnectionTraces(
+InvariantReport ValidateConnectionTraces(
     const std::vector<TraceEvent>& sender_events,
     const std::vector<TraceEvent>& receiver_events);
 

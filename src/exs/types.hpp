@@ -109,16 +109,12 @@ struct StreamOptions {
   ///     burst of small chunks pays one doorbell_cost plus per_wr_cost
   ///     each instead of send_wr_overhead each — the WR-bound-regime
   ///     optimisation (RDMAbox-style WR merging);
-  ///   - sendv aggregation: the coalescing stage records staged members as
-  ///     gather-list references instead of memcpy-ing them into a staging
-  ///     buffer, and flushes them as one multi-SGE WWI — zero staging
-  ///     copies on the coalesce path (requires coalesce.enabled; falls
-  ///     back to staging copies while recovery is on, which needs an owned
-  ///     snapshot anyway);
+  ///   - batched CQ drain (cq_drain below);
   ///   - MR registration cache: arms the device-level LRU cache
   ///     (verbs::Device::EnableMrCache) plus the registration cost model,
-  ///     so Sendv slice registration and staging-buffer reuse hit warm
-  ///     registrations instead of re-pinning.
+  ///     so repeated Sendv slices hit warm registrations instead of
+  ///     re-pinning.
+  /// Small sends are merged by the coalescing stage above, never here.
   struct Batching {
     /// Post the chunks of one pump pass behind a single doorbell.
     bool doorbell = false;
@@ -132,8 +128,6 @@ struct StreamOptions {
     /// batch.  1 (the default) keeps one-completion-per-pass dispatch,
     /// bit-identical to pre-batching builds.
     std::uint32_t cq_drain = 1;
-    /// Coalesce by gather-list aggregation instead of staging copies.
-    bool sendv_aggregation = false;
     /// Unpinned entries the device MR cache retains; 0 leaves it off.
     std::size_t mr_cache_entries = 0;
   } batching;
@@ -220,14 +214,10 @@ struct StreamStats {
   std::uint64_t coalesce_flushes = 0;
   /// Hot-path batching: doorbells rung through batched posting and the
   /// work requests they covered (tx side, all rails); vectored Sendv()
-  /// calls; staging-buffer memcpys performed on the coalesce path (exactly
-  /// 0 when sendv aggregation is active — the zero-copy witness); merged
-  /// flushes emitted as one multi-SGE gather WWI.
+  /// calls.
   std::uint64_t doorbell_batches = 0;
   std::uint64_t batched_wrs = 0;
   std::uint64_t sendv_calls = 0;
-  std::uint64_t coalesce_staging_copies = 0;
-  std::uint64_t coalesce_sg_flushes = 0;
   /// MR registration traffic on the socket's device: actual registrations
   /// performed and pins served from the registration cache.
   std::uint64_t mr_registrations = 0;

@@ -1,10 +1,10 @@
 // Hot-path batching through the stream protocol: doorbell batching of a
 // pump pass's WWIs (StreamOptions::Batching::doorbell), vectored sends
-// (Socket::Sendv) with gather-list coalescing instead of staging copies
-// (sendv_aggregation — the zero-memcpy witness), and the MR registration
-// cache pinning Sendv slices for exactly the life of their WRs.  Every
-// test closes with the connection-level invariant audit, which now
-// includes the per-rail gather-byte and doorbell conservation rules.
+// (Socket::Sendv) gathered straight from the caller's slices with no
+// staging copy, and the MR registration cache pinning Sendv slices for
+// exactly the life of their WRs.  Every test closes with the
+// connection-level invariant audit, which now includes the per-rail
+// gather-byte and doorbell conservation rules.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -26,7 +26,6 @@ StreamOptions AllBatchingOn() {
   opts.coalesce.enabled = true;
   opts.batching.doorbell = true;
   opts.batching.max_wrs = 8;
-  opts.batching.sendv_aggregation = true;
   opts.batching.mr_cache_entries = 16;
   return opts;
 }
@@ -150,8 +149,8 @@ TEST_F(StreamBatchingTest, CqDrainClumpsCompletionClockedSends) {
 }
 
 // Sendv gathers scattered slices into one stream write with zero staging
-// memcpys: under sendv aggregation the coalesce path records gather-list
-// references, so the staging-copy instrument must read exactly 0.
+// memcpys: a vectored send never enters the coalescing stage, even with
+// coalescing on, so no send is counted as staged.
 TEST_F(StreamBatchingTest, SendvAggregationIsZeroCopy) {
   auto [client, server] =
       sim_.CreateConnectedPair(SocketType::kStream, AllBatchingOn());
@@ -174,67 +173,12 @@ TEST_F(StreamBatchingTest, SendvAggregationIsZeroCopy) {
   EXPECT_EQ(VerifyPattern(in.data(), in.size(), 0, 29), in.size());
   StreamStats stats = client->stats();
   EXPECT_EQ(stats.sendv_calls, 1u);
-  EXPECT_EQ(stats.coalesce_staging_copies, 0u);  // the zero-copy witness
+  EXPECT_EQ(stats.coalesced_sends, 0u);  // the zero-copy witness
   EXPECT_EQ(stats.bytes_sent, 1024u);
   EXPECT_EQ(stats.sends_completed, 1u);
 
   auto report = CheckConnection(*client, *server);
   EXPECT_TRUE(report.ok()) << report.Summary();
-}
-
-// The same workload without aggregation pays one staging memcpy per
-// staged send — the instrument separates the two regimes crisply.
-TEST_F(StreamBatchingTest, StagingCopiesCountedWithoutAggregation) {
-  StreamOptions opts;
-  opts.coalesce.enabled = true;  // staging copies, no aggregation
-  auto [client, server] = sim_.CreateConnectedPair(SocketType::kStream, opts);
-
-  std::vector<std::uint8_t> out(768), in(768, 0);
-  FillPattern(out.data(), out.size(), 0, 31);
-  client->Send(out.data(), 256);
-  client->Send(out.data() + 256, 256);
-  client->Send(out.data() + 512, 256);
-  server->Recv(in.data(), in.size(), RecvFlags{.waitall = true});
-  sim_.Run();
-
-  EXPECT_EQ(VerifyPattern(in.data(), in.size(), 0, 31), in.size());
-  StreamStats stats = client->stats();
-  EXPECT_EQ(stats.coalesce_staging_copies, 3u);
-  EXPECT_EQ(stats.coalesce_sg_flushes, 0u);
-}
-
-// Aggregated staged sends flush as one multi-SGE WWI and every staged
-// member still completes individually, in submission order.
-TEST_F(StreamBatchingTest, AggregatedFlushPreservesPerSendCompletions) {
-  auto [client, server] =
-      sim_.CreateConnectedPair(SocketType::kStream, AllBatchingOn());
-
-  std::vector<Event> completions;
-  client->events().SetHandler(
-      [&](const Event& ev) { completions.push_back(ev); });
-
-  std::vector<std::uint8_t> out(768), in(768, 0);
-  FillPattern(out.data(), out.size(), 0, 37);
-  std::uint64_t id0 = client->Send(out.data(), 256);
-  std::uint64_t id1 = client->Send(out.data() + 256, 256);
-  std::uint64_t id2 = client->Send(out.data() + 512, 256);
-  // Past the coalesce delay budget plus the registration cost model the
-  // armed MR cache brings in (setup registrations are charged too).
-  sim_.RunFor(Microseconds(200));
-
-  ASSERT_EQ(completions.size(), 3u);
-  EXPECT_EQ(completions[0].id, id0);
-  EXPECT_EQ(completions[1].id, id1);
-  EXPECT_EQ(completions[2].id, id2);
-
-  StreamStats stats = client->stats();
-  EXPECT_EQ(stats.coalesced_sends, 3u);
-  EXPECT_EQ(stats.coalesce_staging_copies, 0u);
-  EXPECT_GE(stats.coalesce_sg_flushes, 1u);
-
-  server->Recv(in.data(), in.size(), RecvFlags{.waitall = true});
-  sim_.Run();
-  EXPECT_EQ(VerifyPattern(in.data(), in.size(), 0, 37), in.size());
 }
 
 // MR cache through the socket: repeated Sendv of the same slices pins
@@ -337,7 +281,6 @@ TEST_F(StreamBatchingTest, DisabledBatchingMatchesDefaultWireCounts) {
   StreamOptions defaults;
   StreamOptions explicit_off;
   explicit_off.batching.doorbell = false;
-  explicit_off.batching.sendv_aggregation = false;
   explicit_off.batching.mr_cache_entries = 0;
   EXPECT_EQ(run(defaults), run(explicit_off));
 }

@@ -312,6 +312,54 @@ TEST_F(StreamCoalescingTest, OrderingFlushKeepsStagedBytesFirst) {
   EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
+// A vectored send behind staged sends takes the same ordering flush as a
+// large Send: the three staged 100 B sends reach the wire first, as one
+// aggregate, and all four completions arrive in submission order.
+TEST_F(StreamCoalescingTest, SendvBehindStagedSendsFlushesThemFirst) {
+  StreamOptions opts = CoalesceOn();
+  opts.coalesce.max_delay = Milliseconds(10);  // timer must not preempt
+  auto [client, server] =
+      sim_.CreateConnectedPair(SocketType::kStream, opts);
+  client->EnableTracing();
+  server->EnableTracing();
+
+  std::vector<Event> completions;
+  client->events().SetHandler(
+      [&](const Event& ev) { completions.push_back(ev); });
+
+  // Stream bytes [0, 300) go through Send, [300, 700) through two
+  // separately allocated Sendv slices.
+  std::vector<std::uint8_t> staged(300), v0(200), v1(200), in(700, 0);
+  FillPattern(staged.data(), staged.size(), 0, 24);
+  FillPattern(v0.data(), v0.size(), 300, 24);
+  FillPattern(v1.data(), v1.size(), 500, 24);
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    ids.push_back(client->Send(staged.data() + i * 100, 100));
+  }
+  ASSERT_EQ(client->stream_tx()->StagedSends(), 3u);
+  Socket::IoSlice iov[2] = {{v0.data(), v0.size()}, {v1.data(), v1.size()}};
+  ids.push_back(client->Sendv(iov, 2));
+  EXPECT_EQ(client->stream_tx()->StagedSends(), 0u);
+
+  server->Recv(in.data(), in.size(), RecvFlags{.waitall = true});
+  sim_.Run();
+
+  EXPECT_EQ(VerifyPattern(in.data(), in.size(), 0, 24), in.size());
+  EXPECT_EQ(CountFlushes(client->tx_trace(), CoalesceFlushReason::kOrdering),
+            1u);
+  EXPECT_EQ(client->stats().coalesce_flushes, 1u);
+  ASSERT_EQ(completions.size(), 4u);
+  const std::uint64_t bytes[4] = {100, 100, 100, 400};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(completions[i].type, EventType::kSendComplete);
+    EXPECT_EQ(completions[i].id, ids[i]);
+    EXPECT_EQ(completions[i].bytes, bytes[i]);
+  }
+  auto report = CheckConnection(*client, *server);
+  EXPECT_TRUE(report.ok()) << report.Summary();
+}
+
 // The receiver folds a pending ACK free-count into the ADVERT of a
 // partially buffered receive, and the sender releases the space on ADVERT
 // arrival: one control message where two used to go.

@@ -1011,12 +1011,13 @@ TortureResult RunTorture(const TortureConfig& cfg) {
   // buffer and ACK piggyback armed — the corpus round-trips it through the
   // existing mode key.
   if (cfg.mode == "coalesce") opts.coalesce.enabled = true;
-  // "batch" arms the whole hot-path batching stack — coalescing with
-  // gather-list (sendv) aggregation, doorbell batching, and the MR
-  // registration cache — and drives sends through vectored Sendv.  The
-  // seed picks the batch depth and Sendv arity (domain-separated from the
-  // fault plan and workload RNGs); explicit cfg.batch / cfg.arity pin
-  // their axes so a corpus line replays the exact configuration.
+  // "batch" arms the whole hot-path batching stack — doorbell batching,
+  // batched CQ drain and the MR registration cache — with coalescing on,
+  // and drives sends through vectored Sendv, which gathers each chunk
+  // straight from the slices and never stages.  The seed picks the batch
+  // depth and Sendv arity (domain-separated from the fault plan and
+  // workload RNGs); explicit cfg.batch / cfg.arity pin their axes so a
+  // corpus line replays the exact configuration.
   std::uint32_t sendv_arity = 1;
   if (cfg.mode == "batch") {
     std::uint64_t bits = SplitMix64(cfg.seed ^ 0xba7c4d00bbe11ull).Next();
@@ -1029,7 +1030,6 @@ TortureResult RunTorture(const TortureConfig& cfg) {
     opts.coalesce.enabled = true;
     opts.batching.doorbell = true;
     opts.batching.max_wrs = depth;
-    opts.batching.sendv_aggregation = true;
     opts.batching.mr_cache_entries = 32;
     // Batched CQ dispatch: {1, 4, 16} completions per CPU pass, so the
     // completion-clocked refills also exercise the clumped-post path.
