@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "blast/blast.hpp"
@@ -30,6 +31,47 @@ void BM_SchedulerEventThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SchedulerEventThroughput);
+
+// The closure shape the verbs layer schedules per packet
+// (QueuePair::Transmit's `[this, peer, pkt]`): a shared_ptr plus two
+// words, too large for std::function's small-object buffer.
+void BM_SchedulerCapturingEvents(benchmark::State& state) {
+  auto packet = std::make_shared<std::uint64_t>(1);
+  for (auto _ : state) {
+    simnet::EventScheduler sched;
+    std::uint64_t count = 0;
+    std::uint64_t* peer = &count;
+    for (int i = 0; i < 1000; ++i) {
+      sched.ScheduleAt(i, [&count, peer, packet] { count += *packet + *peer; });
+    }
+    sched.Run();
+    benchmark::DoNotOptimize(count);
+  }
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_SchedulerCapturingEvents);
+
+// StreamTx's coalescing flush timer: each round cancels the armed timer
+// (a flush beat it) and arms a fresh one, while the next send's progress
+// event runs.  Cancelled timers linger in the queue until their instant
+// passes.  One item is one cancel/re-arm round.
+void BM_SchedulerTimerChurn(benchmark::State& state) {
+  for (auto _ : state) {
+    simnet::EventScheduler sched;
+    std::uint64_t fired = 0;
+    simnet::EventHandle timer;
+    for (int i = 0; i < 1000; ++i) {
+      timer.Cancel();
+      timer = sched.ScheduleAfter(5000, [&fired] { ++fired; });
+      sched.ScheduleAfter(1000, [&fired] { fired += 2; });
+      sched.Step();
+    }
+    sched.Run();
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_SchedulerTimerChurn);
 
 void BM_CpuTaskChain(benchmark::State& state) {
   for (auto _ : state) {

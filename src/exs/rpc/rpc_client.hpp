@@ -6,10 +6,13 @@
 // correlation id, so the server may interleave work across pipelined
 // requests freely (it does not today, but the protocol permits it).
 //
-// Deadlines use the simulator's timer wheel with *lazy cancellation*: a
+// Deadlines are plain scheduler events with *lazy cancellation*: a
 // response arriving first resolves the call and the timer later fires as
-// a no-op, which needs no cancellation support from the scheduler and
-// keeps the hot path allocation-free.  The conservation rule (see
+// a no-op, so no handle is kept.  Arming one allocates nothing, but a Call
+// is not allocation-free: it builds a frame vector, inserts two hash-map
+// nodes (pending call, send buffer), and Socket::Send auto-registers the
+// fresh frame as a new memory region that is never deregistered.  The
+// conservation rule (see
 // ledger.hpp) is enforced at the single resolution point: whichever of
 // {response, deadline, explicit cancel, local shed} reaches the call
 // first records its outcome; everything after is counted stale.

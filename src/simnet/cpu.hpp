@@ -11,12 +11,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "simnet/event_scheduler.hpp"
+#include "simnet/inline_callback.hpp"
 
 namespace exs::simnet {
 
@@ -59,14 +60,15 @@ class Cpu {
   void InjectStall(SimDuration stall) {
     EXS_CHECK(stall >= 0);
     ++stalls_injected_;
-    tasks_.push_back(Task{stall, nullptr});
-    if (!running_) StartNext();
+    Enqueue(stall, nullptr);
   }
   std::uint64_t StallsInjected() const { return stalls_injected_; }
 
-  /// Enqueue `work` to run after the CPU has been busy for `cost`.  The
-  /// callback executes at the task's completion instant.
-  void Submit(SimDuration cost, std::function<void()> work) {
+  /// Enqueue `work` (any `void()` callable) to run after the CPU has been
+  /// busy for `cost`.  The callback executes at the task's completion
+  /// instant.
+  template <typename F>
+  void Submit(SimDuration cost, F&& work) {
     EXS_CHECK(cost >= 0);
     if (jitter_ > 0.0 && cost > 0) {
       double factor = 1.0 + jitter_ * (2.0 * rng_.NextDouble() - 1.0);
@@ -76,8 +78,7 @@ class Cpu {
       cost = static_cast<SimDuration>(static_cast<double>(cost) *
                                       cost_factor_);
     }
-    tasks_.push_back(Task{cost, std::move(work)});
-    if (!running_) StartNext();
+    Enqueue(cost, std::forward<F>(work));
   }
 
   /// Total time this CPU has spent executing tasks.
@@ -87,36 +88,43 @@ class Cpu {
   std::uint64_t CompletedTasks() const { return completed_; }
 
   /// Tasks waiting or executing.
-  std::size_t QueueDepth() const {
-    return tasks_.size() + (running_ ? 1 : 0);
-  }
+  std::size_t QueueDepth() const { return tasks_.size(); }
 
-  bool Idle() const { return !running_ && tasks_.empty(); }
+  bool Idle() const { return tasks_.empty(); }
 
   EventScheduler& scheduler() { return *scheduler_; }
 
  private:
   struct Task {
+    template <typename F>
+    Task(SimDuration c, F&& w) : cost(c), work(std::forward<F>(w)) {}
     SimDuration cost;
-    std::function<void()> work;
+    InlineCallback work;
   };
 
-  void StartNext() {
-    if (tasks_.empty()) {
-      running_ = false;
-      return;
-    }
-    running_ = true;
-    Task task = std::move(tasks_.front());
+  template <typename F>
+  void Enqueue(SimDuration cost, F&& work) {
+    tasks_.emplace_back(cost, std::forward<F>(work));
+    if (tasks_.size() == 1) StartFront();
+  }
+
+  // The front task is the running one.  It stays in place (std::deque
+  // keeps element addresses across push_back) until its completion event,
+  // which captures only `this`, has run its work.
+  void StartFront() {
+    scheduler_->ScheduleAfter(tasks_.front().cost,
+                              [this] { CompleteFront(); });
+  }
+
+  void CompleteFront() {
+    Task& task = tasks_.front();
+    busy_ += task.cost;
+    ++completed_;
+    // Run the work before starting the next task so that work submitted
+    // from inside a callback lands behind already-queued tasks.
+    if (task.work) task.work();
     tasks_.pop_front();
-    scheduler_->ScheduleAfter(task.cost, [this, task = std::move(task)]() {
-      busy_ += task.cost;
-      ++completed_;
-      // Run the work before starting the next task so that work submitted
-      // from inside a callback lands behind already-queued tasks.
-      if (task.work) task.work();
-      StartNext();
-    });
+    if (!tasks_.empty()) StartFront();
   }
 
   EventScheduler* scheduler_;
@@ -124,7 +132,6 @@ class Cpu {
   double jitter_ = 0.0;
   double cost_factor_ = 1.0;
   Rng rng_;
-  bool running_ = false;
   SimDuration busy_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t stalls_injected_ = 0;

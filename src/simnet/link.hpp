@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 
@@ -64,8 +63,9 @@ class SimplexChannel {
 
   /// Begin transmitting `bytes` now (or when the transmitter frees up).
   /// `on_delivered` runs at the instant the last byte arrives at the far
-  /// end.  Returns the delivery time.
-  SimTime Transmit(std::uint64_t bytes, std::function<void()> on_delivered) {
+  /// end (any `void()` callable).  Returns the delivery time.
+  template <typename F>
+  SimTime Transmit(std::uint64_t bytes, F&& on_delivered) {
     SimTime now = scheduler_->Now();
     SimTime start = now > tx_free_at_ ? now : tx_free_at_;
     SimTime tx_end = start + config_.bandwidth.TransmissionTime(bytes);
@@ -88,7 +88,7 @@ class SimplexChannel {
 
     bytes_carried_ += bytes;
     ++messages_carried_;
-    scheduler_->ScheduleAt(arrival, std::move(on_delivered));
+    scheduler_->ScheduleAt(arrival, std::forward<F>(on_delivered));
     return arrival;
   }
 

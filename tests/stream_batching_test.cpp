@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -283,6 +284,42 @@ TEST_F(StreamBatchingTest, DisabledBatchingMatchesDefaultWireCounts) {
   explicit_off.batching.doorbell = false;
   explicit_off.batching.mr_cache_entries = 0;
   EXPECT_EQ(run(defaults), run(explicit_off));
+}
+
+// A sender destroyed while both of its timers are armed: the coalescing
+// flush timer (a small send sits in the staging buffer) and the deferred
+// doorbell (a chunk waits in the pending batch).  ~StreamTx cancels both
+// through their handles, so the run completes with neither firing: the
+// two events leave the queue at once and nothing more leaves node 0.
+TEST(StreamBatchingTeardown, SenderDestroyedWithTimersArmedFiresNeither) {
+  StreamOptions opts;
+  opts.coalesce.enabled = true;
+  opts.batching.doorbell = true;
+  Simulation sim(HardwareProfile::FdrInfiniBand(), /*seed=*/13);
+  // Declared after the Simulation, so both die before its scheduler.
+  auto client = std::make_unique<Socket>(sim.device(0), SocketType::kStream,
+                                         opts, "doomed-tx");
+  auto server = std::make_unique<Socket>(sim.device(1), SocketType::kStream,
+                                         opts, "rx");
+  Socket::ConnectPair(*client, *server);
+  sim.Run();
+  ASSERT_TRUE(sim.scheduler().Empty());
+
+  std::vector<std::uint8_t> out(8 * kKiB);
+  const std::uint64_t wire_messages =
+      sim.fabric().channel_from(0).MessagesCarried();
+  client->Send(out.data(), out.size());  // over coalesce.max_bytes: batched
+  EXPECT_EQ(sim.scheduler().PendingCount(), 1u);  // the doorbell flush
+  client->Send(out.data(), 256);                  // staged
+  EXPECT_EQ(sim.scheduler().PendingCount(), 2u);  // plus the flush timer
+  EXPECT_EQ(client->stats().coalesced_sends, 1u);
+
+  const std::uint64_t executed = sim.scheduler().ExecutedCount();
+  client.reset();
+  EXPECT_TRUE(sim.scheduler().Empty());
+  sim.Run();
+  EXPECT_EQ(sim.scheduler().ExecutedCount(), executed);
+  EXPECT_EQ(sim.fabric().channel_from(0).MessagesCarried(), wire_messages);
 }
 
 }  // namespace
