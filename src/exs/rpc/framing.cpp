@@ -75,24 +75,22 @@ bool DecodeHeader(const std::uint8_t* in, MessageHeader* out) {
   return out->key_len <= kMaxKeyBytes && out->value_len <= kMaxValueBytes;
 }
 
-std::vector<std::uint8_t> EncodeMessage(MessageType type, std::uint8_t op,
-                                        std::uint64_t correlation_id,
-                                        const std::string& key,
-                                        const std::uint8_t* value,
-                                        std::uint32_t value_len) {
+std::size_t EncodeMessage(MessageType type, std::uint8_t op,
+                          std::uint64_t correlation_id, const std::string& key,
+                          const std::uint8_t* value, std::uint32_t value_len,
+                          std::uint8_t* out) {
   MessageHeader h;
   h.type = type;
   h.op_or_status = op;
   h.key_len = static_cast<std::uint16_t>(key.size());
   h.value_len = value_len;
   h.correlation_id = correlation_id;
-  std::vector<std::uint8_t> out(kHeaderBytes + key.size() + value_len);
-  EncodeHeader(h, out.data());
-  std::memcpy(out.data() + kHeaderBytes, key.data(), key.size());
+  EncodeHeader(h, out);
+  std::memcpy(out + kHeaderBytes, key.data(), key.size());
   if (value_len != 0) {
-    std::memcpy(out.data() + kHeaderBytes + key.size(), value, value_len);
+    std::memcpy(out + kHeaderBytes + key.size(), value, value_len);
   }
-  return out;
+  return FrameBytes(key.size(), value_len);
 }
 
 void FrameDecoder::Feed(const std::uint8_t* data, std::size_t len) {

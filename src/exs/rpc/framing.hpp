@@ -86,12 +86,20 @@ struct MessageView {
   }
 };
 
-/// Encode a whole message (header + key + value) into one owned buffer.
-std::vector<std::uint8_t> EncodeMessage(MessageType type, std::uint8_t op,
-                                        std::uint64_t correlation_id,
-                                        const std::string& key,
-                                        const std::uint8_t* value,
-                                        std::uint32_t value_len);
+/// Wire size of a message with these key and value lengths.
+inline constexpr std::size_t FrameBytes(std::size_t key_len,
+                                        std::uint32_t value_len) {
+  return kHeaderBytes + key_len + value_len;
+}
+
+/// Encode a whole message (header + key + value) into caller memory:
+/// writes FrameBytes(key.size(), value_len) bytes at `out` and returns
+/// that count.  The caller owns the buffer, so a registered one can be
+/// sent as is.
+std::size_t EncodeMessage(MessageType type, std::uint8_t op,
+                          std::uint64_t correlation_id, const std::string& key,
+                          const std::uint8_t* value, std::uint32_t value_len,
+                          std::uint8_t* out);
 
 /// Incremental frame decoder: feed it byte runs as they arrive, get one
 /// callback per complete message.  Never throws on malformed input —

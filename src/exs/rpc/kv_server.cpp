@@ -1,5 +1,6 @@
 #include "exs/rpc/kv_server.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -75,11 +76,51 @@ std::uint64_t KvServer::keys_stored() const {
   return n;
 }
 
+std::size_t KvServer::headers_registered() const {
+  std::size_t n = 0;
+  for (const auto& m : memory_) n += m->header_chunks.size() * kHeadersPerChunk;
+  return n;
+}
+
+std::size_t KvServer::headers_free() const {
+  std::size_t n = 0;
+  for (const auto& m : memory_) n += m->free_headers.size();
+  return n;
+}
+
+KvServer::DeviceMemory& KvServer::MemoryOn(verbs::Device& device) {
+  for (auto& m : memory_) {
+    if (m->device == &device) return *m;
+  }
+  auto& m = *memory_.emplace_back(std::make_unique<DeviceMemory>(device));
+  if (slab_.arena_bytes() != 0) {
+    m.slab_mr = device.RegisterMemory(slab_.Data(0), slab_.arena_bytes(),
+                                      verbs::MrScope::kApplication);
+  }
+  return m;
+}
+
+std::uint8_t* KvServer::TakeHeader(DeviceMemory& memory) {
+  if (memory.free_headers.empty()) {
+    const verbs::RegisteredBuffer& chunk = memory.header_chunks.emplace_back(
+        *memory.device, kHeadersPerChunk * kHeaderBytes,
+        verbs::MrScope::kApplication);
+    for (std::size_t i = kHeadersPerChunk; i-- > 0;) {
+      memory.free_headers.push_back(chunk.data() + i * kHeaderBytes);
+    }
+  }
+  std::uint8_t* header = memory.free_headers.back();
+  memory.free_headers.pop_back();
+  return header;
+}
+
 void KvServer::OnAccept(Socket& socket) {
   auto conn = std::make_unique<Conn>();
   Conn* raw = conn.get();
   raw->socket = &socket;
-  raw->recv_buffer.resize(options_.recv_chunk_bytes);
+  raw->memory = &MemoryOn(socket.device());
+  raw->recv_buffer = verbs::RegisteredBuffer(
+      socket.device(), options_.recv_chunk_bytes, verbs::MrScope::kApplication);
   raw->decoder = std::make_unique<FrameDecoder>(
       [this, raw](const MessageView& v) { OnRequest(*raw, v); },
       [this](const std::string&) { ++stats_.framing_errors; });
@@ -101,11 +142,13 @@ void KvServer::HandleEvent(Socket& socket, const Event& ev) {
   Conn& conn = *it->second;
   switch (ev.type) {
     case EventType::kSendComplete: {
-      auto send = conn.sends.find(ev.id);
+      // Oldest first: a single-rail socket completes sends in order.
+      auto send = std::find_if(
+          conn.sends.begin(), conn.sends.end(),
+          [&ev](const SendingResponse& r) { return r.send_id == ev.id; });
       if (send != conn.sends.end()) {
-        if (send->second.pinned_slot >= 0) {
-          slab_.Unpin(send->second.pinned_slot);
-        }
+        if (send->pinned_slot >= 0) slab_.Unpin(send->pinned_slot);
+        conn.memory->free_headers.push_back(send->header);
         conn.sends.erase(send);
       }
       MaybeReap(socket, conn);
@@ -213,31 +256,24 @@ void KvServer::Respond(Conn& conn, std::uint64_t correlation_id, Status status,
   }
   stats_.response_bytes += kHeaderBytes + h.value_len;
 
-  PendingSend send;
-  std::uint64_t send_id = 0;
-  if (value_slot >= 0 && options_.sendv_responses) {
+  SendingResponse send;
+  send.header = TakeHeader(*conn.memory);
+  EncodeHeader(h, send.header);
+  if (value_slot >= 0) {
     // Gather header + slab slot in one Sendv: no host copy of the value,
     // one completion.  The slot stays pinned until that completion.
-    send.data.resize(kHeaderBytes);
-    EncodeHeader(h, send.data.data());
     slab_.Pin(value_slot);
     send.pinned_slot = value_slot;
     Socket::IoSlice iov[2] = {
-        {send.data.data(), kHeaderBytes},
+        {send.header, kHeaderBytes},
         {slab_.Data(value_slot), h.value_len},
     };
     ++stats_.sendv_responses;
-    send_id = conn.socket->Sendv(iov, h.value_len != 0 ? 2u : 1u);
+    send.send_id = conn.socket->Sendv(iov, h.value_len != 0 ? 2u : 1u);
   } else {
-    send.data.resize(kHeaderBytes + h.value_len);
-    EncodeHeader(h, send.data.data());
-    if (value_slot >= 0 && h.value_len != 0) {
-      std::memcpy(send.data.data() + kHeaderBytes, slab_.Data(value_slot),
-                  h.value_len);
-    }
-    send_id = conn.socket->Send(send.data.data(), send.data.size());
+    send.send_id = conn.socket->Send(send.header, kHeaderBytes);
   }
-  conn.sends.emplace(send_id, std::move(send));
+  conn.sends.push_back(send);
 }
 
 void KvServer::PostRecv(Conn& conn) {

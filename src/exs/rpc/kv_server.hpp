@@ -17,6 +17,14 @@
 // the slot zombie, and the completion frees it — the slab never hands
 // out a slot the wire is still reading.
 //
+// Registration is per device and happens once: the value slab is
+// registered the first time a connection on a device is accepted, and
+// response headers are written into registered chunks of a per-device
+// header pool, each header back in the pool at its own send completion.
+// A response in steady state neither allocates nor registers a send
+// buffer.  The server owns that registered memory, so it must be
+// destroyed before the Simulation that owns the devices.
+//
 // The server is transport-agnostic: Attach() owns a socket's event
 // queue directly (handler mode, muxed or dedicated pairs), while
 // OnAccept()/HandleEvent() slot into engine::Acceptor::Listen for
@@ -52,6 +60,8 @@ class ValueSlab {
   std::uint8_t* Data(std::int32_t slot) {
     return arena_.data() + static_cast<std::size_t>(slot) * slot_bytes_;
   }
+  /// The whole arena, every slot back to back.
+  std::size_t arena_bytes() const { return arena_.size(); }
   void SetLength(std::int32_t slot, std::uint32_t len) {
     lengths_[static_cast<std::size_t>(slot)] = len;
   }
@@ -82,10 +92,6 @@ struct KvServerOptions {
   std::uint32_t slab_slots = 4096;
   std::uint32_t slot_bytes = 512;
   std::uint64_t recv_chunk_bytes = 2 * kKiB;
-  /// Gather header+value responses with Sendv (one completion, zero
-  /// value copy).  Off, responses are flattened into one Send buffer —
-  /// the comparison arm.
-  bool sendv_responses = true;
 };
 
 class KvServer {
@@ -127,17 +133,43 @@ class KvServer {
   }
   std::uint64_t keys_stored() const;
   std::uint64_t live_connections() const { return conns_.size(); }
+  /// Response headers registered, and those free for reuse, summed over
+  /// devices.  At quiescence every header is free.
+  std::size_t headers_registered() const;
+  std::size_t headers_free() const;
+
+  /// Response headers per registered chunk of a device's header pool.
+  static constexpr std::size_t kHeadersPerChunk = 256;
 
  private:
-  struct PendingSend {
-    std::vector<std::uint8_t> data;  ///< header (+ inline value w/o sendv)
+  /// What the server registered on one device: the value slab, once, and
+  /// the response header pool.
+  struct DeviceMemory {
+    explicit DeviceMemory(verbs::Device& d) : device(&d) {}
+    DeviceMemory(const DeviceMemory&) = delete;
+    DeviceMemory& operator=(const DeviceMemory&) = delete;
+    ~DeviceMemory() {
+      if (slab_mr != nullptr) device->DeregisterMemory(slab_mr);
+    }
+
+    verbs::Device* device;
+    verbs::MemoryRegionPtr slab_mr;
+    std::vector<verbs::RegisteredBuffer> header_chunks;
+    std::vector<std::uint8_t*> free_headers;
+  };
+  /// A response whose send has not completed: the pooled header it reads
+  /// and the slab slot it pins (-1 when none).
+  struct SendingResponse {
+    std::uint64_t send_id = 0;
+    std::uint8_t* header = nullptr;
     std::int32_t pinned_slot = -1;
   };
   struct Conn {
     Socket* socket = nullptr;
+    DeviceMemory* memory = nullptr;
     std::unique_ptr<FrameDecoder> decoder;
-    std::vector<std::uint8_t> recv_buffer;
-    std::unordered_map<std::uint64_t, PendingSend> sends;  ///< by send id
+    verbs::RegisteredBuffer recv_buffer;
+    std::vector<SendingResponse> sends;  ///< in send order
     bool recv_outstanding = false;
     bool peer_closed = false;
     bool closed = false;
@@ -151,6 +183,9 @@ class KvServer {
                std::int32_t value_slot);
   void PostRecv(Conn& conn);
   void MaybeReap(Socket& socket, Conn& conn);
+  /// This device's registrations, made on first use.
+  DeviceMemory& MemoryOn(verbs::Device& device);
+  std::uint8_t* TakeHeader(DeviceMemory& memory);
 
   KvServerOptions options_;
   Stats stats_;
@@ -158,6 +193,7 @@ class KvServer {
   ValueSlab slab_;
   std::vector<Shard> shards_;
   std::vector<std::uint64_t> shard_requests_;
+  std::vector<std::unique_ptr<DeviceMemory>> memory_;  ///< one per device
   std::unordered_map<Socket*, std::unique_ptr<Conn>> conns_;
 };
 

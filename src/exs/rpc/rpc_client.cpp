@@ -1,5 +1,7 @@
 #include "exs/rpc/rpc_client.hpp"
 
+#include <algorithm>
+
 namespace exs::rpc {
 
 RpcClient::RpcClient(Socket& socket, simnet::EventScheduler& scheduler,
@@ -9,7 +11,8 @@ RpcClient::RpcClient(Socket& socket, simnet::EventScheduler& scheduler,
       options_(options),
       decoder_([this](const MessageView& v) { OnMessage(v); },
                [this](const std::string&) { framing_failed_ = true; }),
-      recv_buffer_(options.recv_chunk_bytes) {
+      recv_buffer_(socket.device(), options.recv_chunk_bytes,
+                   verbs::MrScope::kApplication) {
   socket_->events().SetHandler([this](const Event& ev) { OnEvent(ev); });
   PostRecv();
 }
@@ -34,15 +37,16 @@ std::uint64_t RpcClient::Call(Op op, const std::string& key,
     }
     return id;
   }
-  std::vector<std::uint8_t> frame = EncodeMessage(
-      MessageType::kRequest, static_cast<std::uint8_t>(op), id, key, value,
-      value_len);
+  verbs::RegisteredBuffer frame = TakeFrame(FrameBytes(key.size(), value_len));
+  const std::size_t len =
+      EncodeMessage(MessageType::kRequest, static_cast<std::uint8_t>(op), id,
+                    key, value, value_len, frame.data());
   PendingCall call;
   call.issued_at = scheduler_->Now();
   call.on_done = std::move(on_done);
   pending_.emplace(id, std::move(call));
-  const std::uint64_t send_id = socket_->Send(frame.data(), frame.size());
-  send_buffers_.emplace(send_id, std::move(frame));
+  const std::uint64_t send_id = socket_->Send(frame.data(), len);
+  sending_frames_.push_back(SendingFrame{send_id, std::move(frame)});
   if (deadline > 0) {
     scheduler_->ScheduleAfter(deadline, [this, id] { OnDeadline(id); });
   }
@@ -64,9 +68,17 @@ void RpcClient::CloseSend() {
 
 void RpcClient::OnEvent(const Event& ev) {
   switch (ev.type) {
-    case EventType::kSendComplete:
-      send_buffers_.erase(ev.id);
+    case EventType::kSendComplete: {
+      // Oldest first: a single-rail socket completes sends in order.
+      auto it = std::find_if(
+          sending_frames_.begin(), sending_frames_.end(),
+          [&ev](const SendingFrame& f) { return f.send_id == ev.id; });
+      if (it != sending_frames_.end()) {
+        free_frames_.push_back(std::move(it->frame));
+        sending_frames_.erase(it);
+      }
       break;
+    }
     case EventType::kRecvComplete:
       recv_outstanding_ = false;
       if (ev.bytes != 0) {
@@ -141,6 +153,19 @@ void RpcClient::PostRecv() {
   if (recv_outstanding_ || peer_closed_) return;
   recv_outstanding_ = true;
   socket_->Recv(recv_buffer_.data(), recv_buffer_.size());
+}
+
+verbs::RegisteredBuffer RpcClient::TakeFrame(std::size_t len) {
+  for (auto it = free_frames_.rbegin(); it != free_frames_.rend(); ++it) {
+    if (it->size() < len) continue;
+    verbs::RegisteredBuffer frame = std::move(*it);
+    *it = std::move(free_frames_.back());
+    free_frames_.pop_back();
+    return frame;
+  }
+  return verbs::RegisteredBuffer(socket_->device(),
+                                 std::max(kMinFrameBytes, len),
+                                 verbs::MrScope::kApplication);
 }
 
 }  // namespace exs::rpc

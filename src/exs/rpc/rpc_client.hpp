@@ -8,14 +8,19 @@
 //
 // Deadlines are plain scheduler events with *lazy cancellation*: a
 // response arriving first resolves the call and the timer later fires as
-// a no-op, so no handle is kept.  Arming one allocates nothing, but a Call
-// is not allocation-free: it builds a frame vector, inserts two hash-map
-// nodes (pending call, send buffer), and Socket::Send auto-registers the
-// fresh frame as a new memory region that is never deregistered.  The
-// conservation rule (see
-// ledger.hpp) is enforced at the single resolution point: whichever of
-// {response, deadline, explicit cancel, local shed} reaches the call
-// first records its outcome; everything after is counted stale.
+// a no-op, so no handle is kept.  Each request is encoded straight into a
+// registered frame buffer taken from the client's free list; the frame
+// goes back on its own send completion (completions on a striped socket
+// may arrive out of order), so a Call in steady state neither allocates
+// nor registers a send buffer.  Frames are allocated and registered on
+// first use only, so their memory tracks this client's peak in-flight
+// sends.  The conservation rule (see ledger.hpp) is enforced at the
+// single resolution point: whichever of {response, deadline, explicit
+// cancel, local shed} reaches the call first records its outcome;
+// everything after is counted stale.
+//
+// The client owns registered memory (its frames and receive buffer), so
+// it must be destroyed before the Simulation that owns its device.
 #pragma once
 
 #include <cstdint>
@@ -100,11 +105,24 @@ class RpcClient {
   }
   std::uint64_t response_bytes() const { return response_bytes_; }
   bool framing_failed() const { return framing_failed_; }
+  /// Request frames whose Send has not completed, and frames free for
+  /// reuse.  At quiescence every frame is free.
+  std::size_t frames_sending() const { return sending_frames_.size(); }
+  std::size_t frames_free() const { return free_frames_.size(); }
+
+  /// Smallest frame buffer: every request of the bundled workload mixes
+  /// (values up to 480 B) fits one.
+  static constexpr std::size_t kMinFrameBytes = 512;
 
  private:
   struct PendingCall {
     SimTime issued_at = 0;
     ResponseFn on_done;
+  };
+  /// A request frame an in-flight Send still reads.
+  struct SendingFrame {
+    std::uint64_t send_id = 0;
+    verbs::RegisteredBuffer frame;
   };
 
   void OnEvent(const Event& ev);
@@ -113,15 +131,19 @@ class RpcClient {
   void Resolve(std::uint64_t correlation_id, Outcome outcome, Status status,
                bool refused_remotely, const MessageView* view);
   void PostRecv();
+  /// A free frame of at least `len` bytes; a new one, registered once,
+  /// when none is large enough.
+  verbs::RegisteredBuffer TakeFrame(std::size_t len);
 
   Socket* socket_;
   simnet::EventScheduler* scheduler_;
   RpcClientOptions options_;
   RpcLedger ledger_;
   std::unordered_map<std::uint64_t, PendingCall> pending_;  ///< by corr id
-  std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> send_buffers_;
+  std::vector<verbs::RegisteredBuffer> free_frames_;
+  std::vector<SendingFrame> sending_frames_;  ///< in send order
   FrameDecoder decoder_;
-  std::vector<std::uint8_t> recv_buffer_;
+  verbs::RegisteredBuffer recv_buffer_;
   std::vector<SimDuration> answer_latencies_;
   std::uint64_t response_bytes_ = 0;
   bool recv_outstanding_ = false;

@@ -356,18 +356,13 @@ void Socket::ConnectPair(Socket& a, Socket& b) {
 }
 
 verbs::MemoryRegionPtr Socket::RegisterMemory(void* addr, std::size_t len) {
-  auto mr = device_->RegisterMemory(addr, len);
-  regions_by_start_.emplace(reinterpret_cast<std::uint64_t>(addr), mr);
-  return mr;
+  return device_->RegisterMemory(addr, len, verbs::MrScope::kApplication);
 }
 
 const verbs::MemoryRegion* Socket::FindOrRegister(const void* addr,
                                                   std::uint64_t len) {
-  auto start = reinterpret_cast<std::uint64_t>(addr);
-  auto it = regions_by_start_.upper_bound(start);
-  if (it != regions_by_start_.begin()) {
-    --it;
-    if (it->second->Covers(start, len)) return it->second.get();
+  if (const verbs::MemoryRegion* mr = device_->FindCovering(addr, len)) {
+    return mr;
   }
   EXS_CHECK_MSG(options_.auto_register_memory,
                 "buffer not registered and auto-registration is off");

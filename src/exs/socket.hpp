@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -74,6 +73,13 @@ class Socket : public simnet::TransportKillTarget {
   /// Explicitly register I/O memory (exs_mregister()).  Buffers passed to
   /// Send()/Recv() must be covered by a registration; with
   /// options.auto_register_memory the library registers them on first use.
+  /// Scope is the device (the protection domain), as with exs_mregister
+  /// and verbs PDs: a region registered through any socket covers every
+  /// socket on the same node, and none on the other.  At each start
+  /// address the first registration is the one lookups see.  The region
+  /// stays registered until Device::DeregisterMemory, which must run
+  /// before its memory is freed or reused; verbs::RegisteredBuffer does
+  /// that for memory it owns.
   verbs::MemoryRegionPtr RegisterMemory(void* addr, std::size_t len);
 
   /// Asynchronous send; returns the request id reported by the completion
@@ -272,7 +278,6 @@ class Socket : public simnet::TransportKillTarget {
   std::unique_ptr<SeqPacketRx> packet_rx_;
   std::unique_ptr<RendezvousTx> rendezvous_tx_;
   std::unique_ptr<RendezvousRx> rendezvous_rx_;
-  std::map<std::uint64_t, verbs::MemoryRegionPtr> regions_by_start_;
   TraceLog tx_trace_;
   TraceLog rx_trace_;
   std::uint64_t next_request_id_ = 1;

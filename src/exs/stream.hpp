@@ -281,9 +281,9 @@ class StreamTx {
     SimTime flush_time = 0;
     bool coalesced = false;
     /// A coalesced aggregate's merged payload or a recovery snapshot (the
-    /// record's one element then points into it).
-    std::vector<std::uint8_t> owned;
-    verbs::MemoryRegionPtr owned_mr;
+    /// record's one element then points into it), deregistered when the
+    /// record dies.
+    verbs::RegisteredBuffer owned;
     /// Coalesced aggregate only: the member sends, completed individually
     /// in submission order once every chunk of the aggregate has
     /// transferred.
@@ -292,10 +292,10 @@ class StreamTx {
     /// (verbs::Device::UnpinCached) when the send completes.
     std::vector<verbs::MemoryRegionPtr> pinned;
 
-    /// Describe the payload as `owned` (registered as `owned_mr`).
+    /// Describe the payload as `owned`.
     void UseOwned() {
       sges[0] = verbs::Sge{reinterpret_cast<std::uint64_t>(owned.data()),
-                           static_cast<std::uint32_t>(len), owned_mr->lkey()};
+                           static_cast<std::uint32_t>(len), owned.lkey()};
       num_sges = 1;
     }
   };
@@ -426,8 +426,7 @@ class StreamTx {
   // Coalescing staging buffer.  Logically ordered *after* chunk_queue_:
   // a flush appends the merged aggregate at the queue's back, so byte
   // continuity is preserved by construction.
-  std::vector<std::uint8_t> staging_mem_;
-  verbs::MemoryRegionPtr staging_mr_;
+  verbs::RegisteredBuffer staging_;
   std::vector<StagedSend> staged_;
   std::uint64_t staged_bytes_ = 0;
   simnet::EventHandle flush_timer_;

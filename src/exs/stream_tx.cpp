@@ -121,7 +121,8 @@ void StreamTx::Enqueue(std::uint64_t id, std::span<const verbs::Sge> sges,
     // completion, but retransmission after a kill may need the bytes long
     // after that (the completion fallacy — completion is not delivery).
     // A Sendv's slices are gathered host-side into the one snapshot.
-    rec->owned.resize(len);
+    rec->owned = verbs::RegisteredBuffer(ctx_.channel->device(), len,
+                                         verbs::MrScope::kInternal);
     std::uint64_t off = 0;
     for (const verbs::Sge& sge : sges) {
       if (ctx_.carry_payload && sge.length > 0) {
@@ -130,8 +131,6 @@ void StreamTx::Enqueue(std::uint64_t id, std::span<const verbs::Sge> sges,
       }
       off += sge.length;
     }
-    rec->owned_mr =
-        ctx_.channel->device().RegisterMemory(rec->owned.data(), len);
     rec->UseOwned();
   } else {
     std::copy(sges.begin(), sges.end(), rec->sges.begin());
@@ -184,16 +183,16 @@ void StreamTx::StageCoalesced(std::uint64_t id, const void* buf,
     // this send into the fresh buffer (the overflow split).
     FlushCoalesced(CoalesceFlushReason::kMaxBytes);
   }
-  if (staging_mem_.empty()) {
+  if (staging_.empty()) {
     // Each flush hands the buffer's ownership to its aggregate (the bytes
     // must stay put until the merged WWI completes), so staging restarts
     // with a fresh registered region.
-    staging_mem_.resize(knobs.max_bytes);
-    staging_mr_ = ctx_.channel->device().RegisterMemory(staging_mem_.data(),
-                                                        staging_mem_.size());
+    staging_ = verbs::RegisteredBuffer(ctx_.channel->device(),
+                                       knobs.max_bytes,
+                                       verbs::MrScope::kInternal);
   }
   if (ctx_.carry_payload) {
-    std::memcpy(staging_mem_.data() + staged_bytes_, buf, len);
+    std::memcpy(staging_.data() + staged_bytes_, buf, len);
   }
   if (staged_.empty()) staged_first_time_ = ctx_.scheduler->Now();
   staged_.push_back(StagedSend{id, len});
@@ -221,8 +220,7 @@ void StreamTx::FlushCoalesced(CoalesceFlushReason reason) {
   auto rec = std::make_shared<PendingSend>();
   rec->id = staged_.front().id;  // WWI wr_ids resolve to the aggregate
   rec->len = staged_bytes_;
-  rec->owned = std::move(staging_mem_);
-  rec->owned_mr = std::move(staging_mr_);
+  rec->owned = std::move(staging_);
   rec->UseOwned();
   rec->members = std::move(staged_);
   // The aggregate's staging span starts when its oldest member entered
@@ -230,8 +228,6 @@ void StreamTx::FlushCoalesced(CoalesceFlushReason reason) {
   rec->submit_time = staged_first_time_;
   rec->flush_time = ctx_.scheduler->Now();
   rec->coalesced = true;
-  staging_mem_.clear();
-  staging_mr_.reset();
   staged_.clear();
   staged_bytes_ = 0;
   Trace(TraceEventType::kCoalesceFlushed, rec->len, rec->members.size(),

@@ -11,15 +11,21 @@ Device::Device(simnet::Fabric& fabric, std::size_t node_index,
   EXS_CHECK(node_index < 2);
 }
 
-MemoryRegionPtr Device::RegisterMemory(void* addr, std::size_t length) {
+MemoryRegionPtr Device::RegisterMemory(void* addr, std::size_t length,
+                                       MrScope scope) {
   EXS_CHECK_MSG(addr != nullptr && length > 0,
                 "memory registration needs a real region");
-  // Distinct lkey/rkey, as on real hardware.
-  std::uint32_t lkey = next_key_++;
-  std::uint32_t rkey = next_key_++;
-  auto mr = std::make_shared<MemoryRegion>(addr, length, lkey, rkey);
-  by_lkey_.emplace(lkey, mr);
-  by_rkey_.emplace(rkey, mr);
+  EXS_CHECK_MSG(regions_.size() < (1u << 31) - 1, "memory keys exhausted");
+  // Distinct lkey/rkey, as on real hardware: odd keys are local, even
+  // keys remote, so neither kind ever resolves as the other.
+  const auto slot = static_cast<std::uint32_t>(regions_.size());
+  auto mr = std::make_shared<MemoryRegion>(addr, length, 2 * slot + 1,
+                                           2 * slot + 2);
+  regions_.push_back(mr);
+  ++live_regions_;
+  if (scope == MrScope::kApplication) {
+    by_start_.emplace(reinterpret_cast<std::uint64_t>(addr), mr.get());
+  }
   ++mr_cache_stats_.registrations;
   if (mr_registrations_counter_ != nullptr) {
     mr_registrations_counter_->Increment();
@@ -102,19 +108,37 @@ void Device::EvictOverCapacity() {
 
 void Device::DeregisterMemory(const MemoryRegionPtr& mr) {
   EXS_CHECK(mr != nullptr);
+  const std::size_t slot = mr->lkey() >> 1;
+  // Deregistered already, or another device's region: nothing to do.
+  if (slot >= regions_.size() || regions_[slot] != mr) return;
   mr->invalidated_ = true;
-  by_lkey_.erase(mr->lkey());
-  by_rkey_.erase(mr->rkey());
+  auto start = by_start_.find(reinterpret_cast<std::uint64_t>(mr->addr()));
+  if (start != by_start_.end() && start->second == mr.get()) {
+    by_start_.erase(start);
+  }
+  --live_regions_;
+  regions_[slot].reset();
+}
+
+const MemoryRegion* Device::FindCovering(const void* addr,
+                                         std::uint64_t len) const {
+  const auto start = reinterpret_cast<std::uint64_t>(addr);
+  auto it = by_start_.upper_bound(start);
+  if (it == by_start_.begin()) return nullptr;
+  --it;
+  return it->second->Covers(start, len) ? it->second : nullptr;
 }
 
 const MemoryRegion* Device::FindByLkey(std::uint32_t lkey) const {
-  auto it = by_lkey_.find(lkey);
-  return it == by_lkey_.end() ? nullptr : it->second.get();
+  if ((lkey & 1) == 0) return nullptr;  // 0 and every rkey
+  const std::size_t slot = lkey >> 1;
+  return slot < regions_.size() ? regions_[slot].get() : nullptr;
 }
 
 const MemoryRegion* Device::FindByRkey(std::uint32_t rkey) const {
-  auto it = by_rkey_.find(rkey);
-  return it == by_rkey_.end() ? nullptr : it->second.get();
+  if (rkey == 0 || (rkey & 1) != 0) return nullptr;  // 0 and every lkey
+  const std::size_t slot = (rkey >> 1) - 1;
+  return slot < regions_.size() ? regions_[slot].get() : nullptr;
 }
 
 std::unique_ptr<CompletionQueue> Device::CreateCompletionQueue() {
@@ -129,6 +153,38 @@ std::unique_ptr<CompletionQueue> Device::CreateCompletionQueue() {
                           (node_index_ + 1) * 6364136223846793005ULL +
                           ++cq_seed_);
   return cq;
+}
+
+RegisteredBuffer::RegisteredBuffer(Device& device, std::size_t bytes,
+                                   MrScope scope)
+    : device_(&device),
+      bytes_(std::make_unique<std::uint8_t[]>(bytes)),
+      size_(bytes),
+      mr_(device.RegisterMemory(bytes_.get(), bytes, scope)) {}
+
+RegisteredBuffer::RegisteredBuffer(RegisteredBuffer&& other) noexcept
+    : device_(other.device_),
+      bytes_(std::move(other.bytes_)),
+      size_(std::exchange(other.size_, 0)),
+      mr_(std::move(other.mr_)) {}
+
+RegisteredBuffer& RegisteredBuffer::operator=(
+    RegisteredBuffer&& other) noexcept {
+  if (this != &other) {
+    Reset();
+    device_ = other.device_;
+    bytes_ = std::move(other.bytes_);
+    size_ = std::exchange(other.size_, 0);
+    mr_ = std::move(other.mr_);
+  }
+  return *this;
+}
+
+void RegisteredBuffer::Reset() {
+  if (mr_ != nullptr) device_->DeregisterMemory(mr_);
+  mr_.reset();
+  bytes_.reset();
+  size_ = 0;
 }
 
 }  // namespace exs::verbs

@@ -1,13 +1,13 @@
-// A node's RDMA device: owns memory registrations and manufactures
-// completion queues bound to the node's CPU.
+// A node's RDMA device: owns memory registrations (the protection domain)
+// and manufactures completion queues bound to the node's CPU.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/metrics.hpp"
 #include "simnet/fabric.hpp"
@@ -26,6 +26,18 @@ struct MrCacheStats {
   std::uint64_t evictions = 0;
 };
 
+/// Who can find a region by address.  Every region resolves by key; only
+/// application-scope regions also enter the start-ordered index that
+/// FindCovering searches, so library-internal memory never satisfies an
+/// application buffer's lookup.
+enum class MrScope : std::uint8_t {
+  /// Rings, control slabs, staging buffers, snapshots and LRU-cache pins.
+  kInternal,
+  /// exs_mregister scope: covers that memory for every socket on the
+  /// device (the protection domain), not just the registering one.
+  kApplication,
+};
+
 class Device {
  public:
   /// `carry_payload` controls whether transfers move real bytes between
@@ -37,8 +49,19 @@ class Device {
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
 
-  MemoryRegionPtr RegisterMemory(void* addr, std::size_t length);
+  /// Register [addr, addr+length).  Keys are dense: the i-th registration
+  /// gets lkey 2i+1 and rkey 2i+2, and keys are never reused.
+  MemoryRegionPtr RegisterMemory(void* addr, std::size_t length,
+                                 MrScope scope = MrScope::kInternal);
+  /// Invalidate `mr`: its keys resolve to null and it leaves the address
+  /// index.  Free in simulated time (no cost model applies).
   void DeregisterMemory(const MemoryRegionPtr& mr);
+
+  /// The application-scope region covering [addr, addr+len), or null.  The
+  /// index keeps the first registration at each start address: a later
+  /// one at the same start, even a longer one, is reachable by key only,
+  /// so a range only it covers still misses.
+  const MemoryRegion* FindCovering(const void* addr, std::uint64_t len) const;
 
   /// Charge the profile's mr_register_cost (page pinning + MTT update) as
   /// simulated host-CPU time on every actual registration.  Off by
@@ -95,7 +118,8 @@ class Device {
   bool carry_payload() const { return carry_payload_; }
   std::uint32_t max_inline() const { return profile().max_inline; }
 
-  std::size_t RegisteredRegionCount() const { return by_lkey_.size(); }
+  /// Live (registered, not yet deregistered) regions of every scope.
+  std::size_t RegisteredRegionCount() const { return live_regions_; }
 
   /// Lifetime count of queue pairs constructed against this device.  The
   /// verbs-state budget signal for the mux benches: dedicated-per-stream
@@ -119,11 +143,15 @@ class Device {
   simnet::Fabric* fabric_;
   std::size_t node_index_;
   bool carry_payload_;
-  std::uint32_t next_key_ = 1;
   std::uint64_t cq_seed_ = 0;
   std::uint64_t qps_created_ = 0;
-  std::unordered_map<std::uint32_t, MemoryRegionPtr> by_lkey_;
-  std::unordered_map<std::uint32_t, MemoryRegionPtr> by_rkey_;
+  /// Registration table: slot i holds the region keyed lkey 2i+1 / rkey
+  /// 2i+2, null once deregistered.  The table owns auto-registered regions
+  /// no caller keeps.
+  std::vector<MemoryRegionPtr> regions_;
+  std::size_t live_regions_ = 0;
+  /// Application-scope regions by start address, first registration wins.
+  std::map<std::uint64_t, const MemoryRegion*> by_start_;
 
   bool mr_cost_armed_ = false;
   SimDuration mr_time_charged_ = 0;
@@ -133,6 +161,40 @@ class Device {
   MrCacheStats mr_cache_stats_;
   metrics::Counter* mr_registrations_counter_ = nullptr;
   metrics::Counter* mr_cache_hits_counter_ = nullptr;
+};
+
+/// Heap bytes plus their registration: the owner of memory the library
+/// registers on its own behalf (RPC request frames and response headers,
+/// the coalescing staging buffer, recovery snapshots).  Destruction
+/// deregisters the region before the bytes are freed, so no registration
+/// outlives its memory.  Move-only; moving keeps the bytes in place.
+///
+/// Lifetime rule: the Device pointer is raw, so a RegisteredBuffer must die
+/// before its Device — the same rule as an EventHandle and its scheduler.
+/// Sockets, RPC clients and servers own theirs and are declared after the
+/// Simulation that owns the devices.
+class RegisteredBuffer {
+ public:
+  RegisteredBuffer() = default;
+  /// `bytes` zero-filled bytes registered on `device` in `scope`.
+  RegisteredBuffer(Device& device, std::size_t bytes, MrScope scope);
+  RegisteredBuffer(RegisteredBuffer&& other) noexcept;
+  RegisteredBuffer& operator=(RegisteredBuffer&& other) noexcept;
+  ~RegisteredBuffer() { Reset(); }
+
+  std::uint8_t* data() const { return bytes_.get(); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return bytes_ == nullptr; }
+  std::uint32_t lkey() const { return mr_->lkey(); }
+
+ private:
+  /// Deregister and free; no-op when empty.
+  void Reset();
+
+  Device* device_ = nullptr;
+  std::unique_ptr<std::uint8_t[]> bytes_;
+  std::size_t size_ = 0;
+  MemoryRegionPtr mr_;
 };
 
 }  // namespace exs::verbs

@@ -4,11 +4,14 @@
 // proving CheckRpcConservation catches a forged double outcome.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "exs/exs.hpp"
 #include "exs/invariant_checker.hpp"
 #include "exs/loadgen/workload.hpp"
@@ -53,11 +56,15 @@ TEST(Framing, DecoderReassemblesAcrossArbitrarySplits) {
     value[i] = static_cast<std::uint8_t>(i * 7 + 1);
   }
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    auto frame = EncodeMessage(MessageType::kRequest,
-                               static_cast<std::uint8_t>(Op::kPut), i + 1,
-                               keys[i], value.data(),
-                               static_cast<std::uint32_t>(value.size()));
-    stream.insert(stream.end(), frame.begin(), frame.end());
+    const std::size_t at = stream.size();
+    stream.resize(at + FrameBytes(keys[i].size(),
+                                  static_cast<std::uint32_t>(value.size())));
+    EXPECT_EQ(EncodeMessage(MessageType::kRequest,
+                            static_cast<std::uint8_t>(Op::kPut), i + 1, keys[i],
+                            value.data(),
+                            static_cast<std::uint32_t>(value.size()),
+                            stream.data() + at),
+              stream.size() - at);
   }
   // Feed one byte at a time — the cruellest split.
   std::vector<MessageView> seen_headers;
@@ -89,6 +96,259 @@ TEST(Framing, MalformedHeaderStopsDecoder) {
   dec.Feed(junk, sizeof junk);
   EXPECT_TRUE(dec.Failed());
   EXPECT_FALSE(error.empty());
+}
+
+// ---- seeded mutation fuzzing of the framing --------------------------------
+
+/// A frame as the reference reader below sees it.
+struct RefFrame {
+  std::uint8_t type = 0;
+  std::uint8_t op = 0;
+  std::uint16_t key_len = 0;
+  std::uint32_t value_len = 0;
+  std::uint64_t correlation_id = 0;
+  std::vector<std::uint8_t> key;
+  std::vector<std::uint8_t> value;
+  bool operator==(const RefFrame&) const = default;
+};
+
+/// Reads a 16-byte header independently of DecodeHeader: little-endian
+/// fields, valid when the type names a request or a response and both
+/// lengths are within the decoder's bounds.
+bool RefHeader(const std::uint8_t* in, RefFrame* f) {
+  f->type = in[0];
+  f->op = in[1];
+  f->key_len = static_cast<std::uint16_t>(in[2] | in[3] << 8);
+  f->value_len = 0;
+  for (int i = 7; i >= 4; --i) f->value_len = f->value_len << 8 | in[i];
+  f->correlation_id = 0;
+  for (int i = 15; i >= 8; --i) {
+    f->correlation_id = f->correlation_id << 8 | in[i];
+  }
+  return (f->type == 1 || f->type == 2) && f->key_len <= kMaxKeyBytes &&
+         f->value_len <= kMaxValueBytes;
+}
+
+/// What a correct incremental decoder reports for `stream`: the complete
+/// frames before the first malformed header, whether one was reached, and
+/// whether the stream ends on a frame boundary.
+struct RefDecode {
+  std::vector<RefFrame> frames;
+  bool malformed = false;
+  bool idle = true;
+};
+
+RefDecode RefWalk(const std::vector<std::uint8_t>& stream) {
+  RefDecode out;
+  std::size_t off = 0;
+  while (stream.size() - off >= kHeaderBytes) {
+    RefFrame f;
+    if (!RefHeader(stream.data() + off, &f)) {
+      out.malformed = true;
+      return out;  // the decoder drops everything it holds
+    }
+    const std::size_t body = std::size_t{f.key_len} + f.value_len;
+    if (stream.size() - off - kHeaderBytes < body) break;
+    const std::uint8_t* key = stream.data() + off + kHeaderBytes;
+    f.key.assign(key, key + f.key_len);
+    f.value.assign(key + f.key_len, key + f.key_len + f.value_len);
+    out.frames.push_back(std::move(f));
+    off += kHeaderBytes + body;
+  }
+  out.idle = off == stream.size();
+  return out;
+}
+
+/// Feeds `stream` to a fresh decoder in random splits, each from its own
+/// exact-size allocation so an overread lands in an ASan redzone.
+struct FedDecode {
+  std::vector<RefFrame> frames;
+  int errors = 0;
+  bool failed = false;
+  bool idle = false;
+};
+
+FedDecode FeedInSplits(const std::vector<std::uint8_t>& stream, Rng& rng) {
+  FedDecode out;
+  FrameDecoder dec(
+      [&](const MessageView& v) {
+        RefFrame f;
+        f.type = static_cast<std::uint8_t>(v.header.type);
+        f.op = v.header.op_or_status;
+        f.key_len = v.header.key_len;
+        f.value_len = v.header.value_len;
+        f.correlation_id = v.header.correlation_id;
+        f.key.assign(v.key, v.key + v.header.key_len);
+        f.value.assign(v.value, v.value + v.header.value_len);
+        out.frames.push_back(std::move(f));
+      },
+      [&](const std::string&) { ++out.errors; });
+  std::size_t off = 0;
+  while (off < stream.size()) {
+    const std::size_t want =
+        rng.NextBool(0.3) ? rng.NextInRange(1, 8) : rng.NextInRange(1, 4096);
+    const std::size_t n = std::min(want, stream.size() - off);
+    const std::vector<std::uint8_t> piece(stream.begin() + off,
+                                          stream.begin() + off + n);
+    dec.Feed(piece.data(), piece.size());
+    off += n;
+  }
+  // Whatever follows a malformed header is never decoded.
+  if (dec.Failed()) {
+    std::vector<std::uint8_t> more(FrameBytes(3, 5));
+    const std::uint8_t value[5] = {1, 2, 3, 4, 5};
+    EncodeMessage(MessageType::kResponse, 1, 99, "abc", value, 5, more.data());
+    dec.Feed(more.data(), more.size());
+  }
+  out.failed = dec.Failed();
+  out.idle = dec.Idle();
+  return out;
+}
+
+/// Random valid frames; records where each one starts.
+std::vector<std::uint8_t> RandomFrames(Rng& rng,
+                                       std::vector<std::size_t>* starts) {
+  std::vector<std::uint8_t> stream;
+  const std::uint64_t frames = rng.NextInRange(1, 12);
+  for (std::uint64_t i = 0; i < frames; ++i) {
+    const std::size_t key_len =
+        rng.NextBool(0.1) ? rng.NextInRange(0, kMaxKeyBytes)
+                          : rng.NextInRange(0, 32);
+    const auto value_len = static_cast<std::uint32_t>(
+        rng.NextBool(0.05) ? rng.NextInRange(0, 70000)
+                           : rng.NextInRange(0, 600));
+    std::string key(key_len, '\0');
+    for (char& c : key) c = static_cast<char>(rng.NextBelow(256));
+    std::vector<std::uint8_t> value(value_len);
+    for (std::uint8_t& b : value) {
+      b = static_cast<std::uint8_t>(rng.NextBelow(256));
+    }
+    const auto type = rng.NextBool() ? MessageType::kRequest
+                                     : MessageType::kResponse;
+    starts->push_back(stream.size());
+    stream.resize(stream.size() + FrameBytes(key_len, value_len));
+    EncodeMessage(type, static_cast<std::uint8_t>(rng.NextBelow(256)),
+                  rng.NextU64(), key, value.data(), value_len,
+                  stream.data() + starts->back());
+  }
+  return stream;
+}
+
+/// One mutation of `stream`: a byte flip, a truncation, an oversize
+/// length field or a bad type byte in some frame's header.
+void Mutate(Rng& rng, const std::vector<std::size_t>& starts,
+            std::vector<std::uint8_t>* stream) {
+  if (stream->empty()) return;
+  const std::size_t at = starts[rng.NextBelow(starts.size())];
+  switch (rng.NextBelow(5)) {
+    case 0: {
+      const std::size_t pos = rng.NextBelow(stream->size());
+      (*stream)[pos] ^= static_cast<std::uint8_t>(rng.NextInRange(1, 255));
+      break;
+    }
+    case 1:
+      stream->resize(rng.NextBelow(stream->size()));
+      break;
+    case 2:
+      if (at + kHeaderBytes <= stream->size()) {
+        const auto key_len = static_cast<std::uint16_t>(
+            rng.NextInRange(kMaxKeyBytes + 1, 0xffff));
+        (*stream)[at + 2] = static_cast<std::uint8_t>(key_len);
+        (*stream)[at + 3] = static_cast<std::uint8_t>(key_len >> 8);
+      }
+      break;
+    case 3:
+      if (at + kHeaderBytes <= stream->size()) {
+        const auto value_len = static_cast<std::uint32_t>(
+            rng.NextInRange(kMaxValueBytes + 1, 0xffffffffu));
+        for (int i = 0; i < 4; ++i) {
+          (*stream)[at + 4 + i] =
+              static_cast<std::uint8_t>(value_len >> (8 * i));
+        }
+      }
+      break;
+    default:
+      if (at < stream->size()) {
+        (*stream)[at] = static_cast<std::uint8_t>(
+            rng.NextBool() ? 0 : rng.NextInRange(3, 255));
+      }
+      break;
+  }
+}
+
+TEST(FramingFuzz, DecodeHeaderMatchesReferenceReader) {
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+    Rng rng(seed);
+    std::uint8_t in[kHeaderBytes];
+    for (std::uint8_t& b : in) {
+      b = static_cast<std::uint8_t>(rng.NextBelow(256));
+    }
+    // Bias toward the interesting edges: valid types, lengths at the bounds.
+    if (rng.NextBool()) {
+      in[0] = static_cast<std::uint8_t>(rng.NextInRange(0, 3));
+    }
+    if (rng.NextBool()) {
+      const auto key_len = static_cast<std::uint16_t>(
+          kMaxKeyBytes - 1 + rng.NextBelow(3));
+      in[2] = static_cast<std::uint8_t>(key_len);
+      in[3] = static_cast<std::uint8_t>(key_len >> 8);
+    }
+    if (rng.NextBool()) {
+      const auto value_len = static_cast<std::uint32_t>(
+          kMaxValueBytes - 1 + rng.NextBelow(3));
+      for (int i = 0; i < 4; ++i) {
+        in[4 + i] = static_cast<std::uint8_t>(value_len >> (8 * i));
+      }
+    }
+    RefFrame ref;
+    const bool valid = RefHeader(in, &ref);
+    MessageHeader h;
+    ASSERT_EQ(DecodeHeader(in, &h), valid) << "seed " << seed;
+    if (!valid) continue;
+    EXPECT_EQ(static_cast<std::uint8_t>(h.type), ref.type) << "seed " << seed;
+    EXPECT_EQ(h.op_or_status, ref.op) << "seed " << seed;
+    EXPECT_EQ(h.key_len, ref.key_len) << "seed " << seed;
+    EXPECT_EQ(h.value_len, ref.value_len) << "seed " << seed;
+    EXPECT_EQ(h.correlation_id, ref.correlation_id) << "seed " << seed;
+  }
+}
+
+TEST(FramingFuzz, MutatedStreamsPoisonOrDecodeExactly) {
+  int poisoned = 0;
+  int partial = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    Rng rng(seed);
+    std::vector<std::size_t> starts;
+    const std::vector<std::uint8_t> clean = RandomFrames(rng, &starts);
+
+    // Unmutated: every frame decodes byte-exact, whatever the splits.
+    const RefDecode want = RefWalk(clean);
+    ASSERT_FALSE(want.malformed) << "seed " << seed;
+    ASSERT_EQ(want.frames.size(), starts.size()) << "seed " << seed;
+    FedDecode got = FeedInSplits(clean, rng);
+    ASSERT_EQ(got.errors, 0) << "seed " << seed;
+    ASSERT_TRUE(got.frames == want.frames) << "seed " << seed;
+    ASSERT_TRUE(got.idle) << "seed " << seed;
+
+    // Mutated: the decoder delivers exactly the frames before the first
+    // malformed header, reports it once, and decodes nothing after it.
+    std::vector<std::uint8_t> mutated = clean;
+    const std::uint64_t mutations = rng.NextInRange(1, 3);
+    for (std::uint64_t m = 0; m < mutations; ++m) Mutate(rng, starts, &mutated);
+    const RefDecode expect = RefWalk(mutated);
+    got = FeedInSplits(mutated, rng);
+    ASSERT_EQ(got.errors, expect.malformed ? 1 : 0) << "seed " << seed;
+    ASSERT_EQ(got.failed, expect.malformed) << "seed " << seed;
+    ASSERT_EQ(got.frames.size(), expect.frames.size()) << "seed " << seed;
+    ASSERT_TRUE(got.frames == expect.frames) << "seed " << seed;
+    ASSERT_EQ(got.idle, expect.idle) << "seed " << seed;
+    poisoned += expect.malformed ? 1 : 0;
+    partial += !expect.malformed && !expect.idle ? 1 : 0;
+  }
+  // The mutations reach both verdicts: a poisoned decoder and a stream cut
+  // inside a frame.
+  EXPECT_GT(poisoned, 100);
+  EXPECT_GT(partial, 20);
 }
 
 // ---- end-to-end over a simulated pair -----------------------------------
@@ -338,7 +598,8 @@ TEST(RpcKv, MuxedTransportCarriesRpc) {
     server.Attach(*b);
     clients.push_back(std::make_unique<RpcClient>(*a, sim.scheduler()));
     RpcClient& cl = *clients.back();
-    const std::string key = "m" + std::to_string(c);
+    std::string key = "m";
+    key += std::to_string(c);
     cl.Call(Op::kPut, key, v, sizeof v);
     cl.Call(Op::kGet, key, nullptr, 0,
             [&](const RpcClient::Result& r) {
@@ -355,6 +616,153 @@ TEST(RpcKv, MuxedTransportCarriesRpc) {
   EXPECT_TRUE(report.ok()) << report.Summary();
   report = CheckMuxGroupPair(g0, g1);
   EXPECT_TRUE(report.ok()) << report.Summary();
+}
+
+// ---- registered send buffers ----------------------------------------------
+
+// Frames and response headers come from registered pools, so registrations
+// track the in-flight window, not the call count.
+TEST(RpcKv, RegistrationsStayFlatAcrossManyCalls) {
+  Fixture f;
+  const std::size_t client_regions = f.sim.device(0).RegisteredRegionCount();
+  const std::size_t server_regions = f.sim.device(1).RegisteredRegionCount();
+  const std::uint64_t client_registrations =
+      f.sim.device(0).mr_cache_stats().registrations;
+  const std::uint64_t server_registrations =
+      f.sim.device(1).mr_cache_stats().registrations;
+  constexpr std::uint32_t kSizes[] = {24, 130, 300, 480};
+  std::vector<std::uint8_t> value(480, 0x5a);
+  int answered = 0;
+  auto cb = [&](const RpcClient::Result& r) {
+    if (r.outcome == Outcome::kAnswered) ++answered;
+  };
+  constexpr int kCalls = 2000;
+  constexpr int kWindow = 8;
+  for (int i = 0; i < kCalls; ++i) {
+    const std::string key = "key-" + std::to_string(i % 50);
+    if (i % 2 == 0) {
+      f.client->Call(Op::kPut, key, value.data(), kSizes[(i / 2) % 4], cb);
+    } else {
+      f.client->Call(Op::kGet, key, nullptr, 0, cb);
+    }
+    if (i % kWindow == kWindow - 1) f.sim.Run();
+  }
+  f.sim.Run();
+  EXPECT_EQ(answered, kCalls);
+  // At most one frame per call in the window, and one header chunk, each
+  // registered once and reused.
+  EXPECT_LE(f.sim.device(0).RegisteredRegionCount(),
+            client_regions + kWindow);
+  EXPECT_LE(f.sim.device(1).RegisteredRegionCount(), server_regions + 1);
+  EXPECT_LE(f.sim.device(0).mr_cache_stats().registrations,
+            client_registrations + kWindow);
+  EXPECT_LE(f.sim.device(1).mr_cache_stats().registrations,
+            server_registrations + 1);
+  EXPECT_EQ(f.client->frames_sending(), 0u);
+  EXPECT_EQ(f.server.headers_free(), f.server.headers_registered());
+  InvariantReport report = f.Check();
+  EXPECT_TRUE(report.ok()) << report.Summary();
+}
+
+// On a two-rail socket a later send can complete before an earlier one;
+// each frame and header returns on its own completion regardless.
+TEST(RpcKv, StripedSocketReturnsEveryFrameToThePool) {
+  KvServerOptions sopts;
+  sopts.slot_bytes = 4 * kKiB;
+  StreamOptions stream;
+  stream.rails = 2;
+  stream.max_wwi_chunk = 256;
+  Fixture f(sopts, {}, stream);
+  ASSERT_EQ(f.client_sock->effective_rails(), 2u);
+  std::vector<std::uint8_t> value(4000);
+  loadgen::WorkloadGenerator::FillValue("stripe", value.data(), 4000);
+  constexpr std::uint32_t kSizes[] = {4000, 20, 1500, 90, 3100, 300};
+  int answered = 0;
+  std::vector<RpcClient::Result> gets;
+  const char* const kKeys[] = {"s0", "s1", "s2", "s3", "s4", "s5"};
+  for (int round = 0; round < 8; ++round) {
+    for (int i = 0; i < 12; ++i) {
+      const std::string key = kKeys[i % 6];
+      auto cb = [&](const RpcClient::Result& r) {
+        if (r.outcome == Outcome::kAnswered) ++answered;
+      };
+      if (i < 6) {
+        f.client->Call(Op::kPut, key, value.data(), kSizes[i], cb);
+      } else {
+        f.client->Call(Op::kGet, key, nullptr, 0,
+                       [&, cb](const RpcClient::Result& r) {
+                         cb(r);
+                         gets.push_back(r);
+                       });
+      }
+    }
+    f.sim.Run();
+  }
+  EXPECT_EQ(answered, 8 * 12);
+  ASSERT_EQ(gets.size(), 8u * 6);
+  for (std::size_t i = 0; i < gets.size(); ++i) {
+    const std::uint32_t len = kSizes[i % 6];
+    EXPECT_EQ(gets[i].value,
+              std::vector<std::uint8_t>(value.begin(), value.begin() + len));
+  }
+  EXPECT_EQ(f.client->frames_sending(), 0u);
+  EXPECT_GE(f.client->frames_free(), 1u);
+  EXPECT_EQ(f.server.headers_free(), f.server.headers_registered());
+  InvariantReport report = f.Check();
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  report = CheckConnection(*f.client_sock, *f.server_sock);
+  EXPECT_TRUE(report.ok()) << report.Summary();
+}
+
+TEST(RpcKv, FrameLargerThanEveryPooledBufferGetsItsOwn) {
+  KvServerOptions sopts;
+  sopts.slot_bytes = 8 * kKiB;  // the server stores the large value
+  Fixture f(sopts);
+  std::vector<RpcClient::Result> results;
+  auto cb = [&](const RpcClient::Result& r) { results.push_back(r); };
+  f.client->Call(Op::kGet, "big", nullptr, 0, cb);
+  f.sim.Run();
+  ASSERT_EQ(f.client->frames_free(), 1u);  // one smallest-size frame
+  const std::size_t regions = f.sim.device(0).RegisteredRegionCount();
+
+  constexpr std::uint32_t kLen = 6000;
+  static_assert(kLen > RpcClient::kMinFrameBytes);
+  std::vector<std::uint8_t> value(kLen);
+  loadgen::WorkloadGenerator::FillValue("big", value.data(), kLen);
+  f.client->Call(Op::kPut, "big", value.data(), kLen, cb);
+  f.client->Call(Op::kGet, "big", nullptr, 0, cb);
+  f.sim.Run();
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].status, Status::kNotFound);
+  EXPECT_EQ(results[1].outcome, Outcome::kAnswered);
+  EXPECT_EQ(results[1].status, Status::kOk);
+  EXPECT_EQ(results[2].status, Status::kOk);
+  EXPECT_EQ(results[2].value, value);  // byte-exact
+  // The PUT got a new buffer, registered once; the GET reused the small one.
+  EXPECT_EQ(f.client->frames_free(), 2u);
+  EXPECT_EQ(f.sim.device(0).RegisteredRegionCount(), regions + 1);
+  InvariantReport report = f.Check();
+  EXPECT_TRUE(report.ok()) << report.Summary();
+}
+
+// The client and server deregister their pools against devices that are
+// still alive: the fixture destroys them before its Simulation.  The
+// simulation never runs after the client is gone (its event handler
+// captures the client).
+TEST(RpcKv, TeardownWithCallsInFlightIsClean) {
+  auto f = std::make_unique<Fixture>();
+  std::vector<std::uint8_t> value(300, 7);
+  const char* const kKeys[] = {"t0", "t1", "t2", "t3", "t4"};
+  for (int i = 0; i < 24; ++i) {
+    const bool put = i % 2 == 0;
+    f->client->Call(put ? Op::kPut : Op::kGet, kKeys[i % 5],
+                    put ? value.data() : nullptr,
+                    put ? static_cast<std::uint32_t>(value.size()) : 0);
+  }
+  f->sim.RunFor(Microseconds(3));
+  EXPECT_GT(f->client->frames_sending(), 0u);
+  EXPECT_GT(f->client->pending_calls(), 0u);
+  f.reset();
 }
 
 // ---- conviction: the checker catches forged books -----------------------

@@ -54,6 +54,35 @@ TEST(SocketApi, RegistrationCoversSubranges) {
                InvariantViolation);
 }
 
+// Registration is device-scoped, like exs_mregister and verbs protection
+// domains: memory registered through one socket serves every socket on the
+// same node, and no socket on the other.
+TEST(SocketApi, RegistrationCoversEverySocketOnTheDevice) {
+  Simulation sim(HardwareProfile::FdrInfiniBand(), 4, true);
+  StreamOptions opts;
+  opts.auto_register_memory = false;
+  auto [a1, b1] = sim.CreateConnectedPair(SocketType::kStream, opts);
+  auto [a2, b2] = sim.CreateConnectedPair(SocketType::kStream, opts);
+  (void)b1;
+  std::vector<std::uint8_t> out(8192), in(8192, 0);
+  FillPattern(out.data(), out.size(), 0, 9);
+  a1->RegisterMemory(out.data(), out.size());
+  b1->RegisterMemory(in.data(), in.size());
+  const std::size_t node0 = sim.device(0).RegisteredRegionCount();
+
+  // a2 never registered `out`, b2 never registered `in`.
+  b2->Recv(in.data(), in.size(), RecvFlags{.waitall = true});
+  a2->Send(out.data(), out.size());
+  sim.Run();
+  EXPECT_EQ(b2->stats().bytes_received, out.size());
+  EXPECT_EQ(VerifyPattern(in.data(), in.size(), 0, 9), in.size());
+  EXPECT_EQ(sim.device(0).RegisteredRegionCount(), node0);
+
+  // Node 1 never registered `out`: its sockets still refuse it.
+  EXPECT_THROW(b2->Send(out.data(), out.size()), InvariantViolation);
+  EXPECT_THROW(b1->Send(out.data() + 64, 64), InvariantViolation);
+}
+
 TEST(SocketApi, StatsAndIntrospectionExposed) {
   Simulation sim(HardwareProfile::FdrInfiniBand(), 5, false);
   auto [a, b] = sim.CreateConnectedPair(SocketType::kStream);

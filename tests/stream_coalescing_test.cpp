@@ -535,5 +535,34 @@ TEST_F(StreamCoalescingTest, AggregateRechunksAcrossRails) {
   EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
+// Each flush hands the staging buffer to its aggregate and registers a
+// fresh one.  The aggregate deregisters its region when it completes, so
+// the device's live registrations do not grow with the flush count.
+TEST_F(StreamCoalescingTest, FlushedStagingBuffersAreDeregistered) {
+  auto [client, server] =
+      sim_.CreateConnectedPair(SocketType::kStream, CoalesceOn());
+  std::vector<std::uint8_t> out(256), in(256);
+  FillPattern(out.data(), out.size(), 0, 29);
+  client->RegisterMemory(out.data(), out.size());
+  server->RegisterMemory(in.data(), in.size());
+  const std::size_t before = sim_.device(0).RegisteredRegionCount();
+  auto flush_rounds = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      client->Send(out.data(), 128);
+      client->Send(out.data() + 128, 128);
+      sim_.RunFor(Microseconds(50));  // past the 5 µs delay budget
+      server->Recv(in.data(), in.size(), RecvFlags{.waitall = true});
+      sim_.Run();
+      ASSERT_EQ(VerifyPattern(in.data(), in.size(), 0, 29), in.size());
+    }
+  };
+  flush_rounds(8);
+  const std::size_t after_few = sim_.device(0).RegisteredRegionCount();
+  flush_rounds(56);
+  EXPECT_GE(client->stats().coalesce_flushes, 64u);
+  EXPECT_EQ(sim_.device(0).RegisteredRegionCount(), after_few);
+  EXPECT_LE(after_few, before + 1);
+}
+
 }  // namespace
 }  // namespace exs

@@ -249,6 +249,36 @@ TEST(StreamRecoveryTest, RailFailoverRechunksAcrossSurvivingRails) {
   ExpectCleanChecker(client, server);
 }
 
+// Under recovery every send snapshots its payload into a registered
+// buffer.  A record pruned from the retransmission log deregisters its
+// snapshot, so live registrations stay within the log depth of the
+// pre-traffic count instead of growing with every send.
+TEST(StreamRecoveryTest, PrunedSnapshotsAreDeregistered) {
+  Simulation sim(HardwareProfile::FdrInfiniBand(), /*seed=*/13,
+                 /*carry_payload=*/true);
+  auto [client, server] =
+      sim.CreateConnectedPair(SocketType::kStream, RecoveryOpts());
+  client->EnableTracing();
+  server->EnableTracing();
+  std::vector<std::uint8_t> out(4096), in(4096);
+  FillPattern(out.data(), out.size(), 0, 13);
+  client->RegisterMemory(out.data(), out.size());
+  server->RegisterMemory(in.data(), in.size());
+  const verbs::Device& device = sim.device(0);
+  const std::size_t before = device.RegisteredRegionCount();
+  constexpr int kSends = 200;
+  for (int i = 0; i < kSends; ++i) {
+    server->Recv(in.data(), in.size(), RecvFlags{.waitall = true});
+    client->Send(out.data(), out.size());
+    sim.Run();
+    ASSERT_EQ(VerifyPattern(in.data(), in.size(), 0, 13), in.size());
+  }
+  const std::size_t depth = client->stream_tx()->RetransmitLogDepth();
+  EXPECT_LT(depth, 8u);
+  EXPECT_LE(device.RegisteredRegionCount(), before + depth + 1);
+  ExpectCleanChecker(client, server);
+}
+
 // Regression: a fault scheduled against an already-dead transport is a
 // guaranteed no-op — not a second flush, not a dangling callback.  Both
 // the direct API and the FaultInjector path must agree, and a kill

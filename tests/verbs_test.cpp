@@ -52,6 +52,93 @@ TEST_F(VerbsTest, RegistrationProducesDistinctKeys) {
   EXPECT_TRUE(mr->invalidated());
 }
 
+// ---- the device registration table ---------------------------------------
+
+TEST_F(VerbsTest, FirstRegistrationAtAStartAddressWins) {
+  std::vector<std::uint8_t> buf(256);
+  auto first = dev0_.RegisterMemory(buf.data(), 64, MrScope::kApplication);
+  auto longer = dev0_.RegisterMemory(buf.data(), 256, MrScope::kApplication);
+  // Both resolve by key; the address index keeps only the first, so a
+  // range only the longer one covers still misses.
+  EXPECT_EQ(dev0_.FindByLkey(longer->lkey()), longer.get());
+  EXPECT_EQ(dev0_.FindCovering(buf.data(), 64), first.get());
+  EXPECT_EQ(dev0_.FindCovering(buf.data() + 8, 16), first.get());
+  EXPECT_EQ(dev0_.FindCovering(buf.data(), 128), nullptr);
+  // Deregistering the loser leaves the winner indexed.
+  dev0_.DeregisterMemory(longer);
+  EXPECT_EQ(dev0_.FindCovering(buf.data(), 64), first.get());
+}
+
+TEST_F(VerbsTest, DeregisteredRegionLeavesIndexAndKeys) {
+  std::vector<std::uint8_t> buf(512);
+  const std::size_t before = dev0_.RegisteredRegionCount();
+  auto mr = dev0_.RegisterMemory(buf.data(), buf.size(), MrScope::kApplication);
+  EXPECT_EQ(dev0_.RegisteredRegionCount(), before + 1);
+  EXPECT_EQ(dev0_.FindCovering(buf.data() + 100, 300), mr.get());
+  dev0_.DeregisterMemory(mr);
+  dev0_.DeregisterMemory(mr);  // idempotent
+  EXPECT_EQ(dev0_.RegisteredRegionCount(), before);
+  EXPECT_EQ(dev0_.FindCovering(buf.data() + 100, 300), nullptr);
+  EXPECT_EQ(dev0_.FindByLkey(mr->lkey()), nullptr);
+  EXPECT_EQ(dev0_.FindByRkey(mr->rkey()), nullptr);
+  // Keys are never reused: a new region at the same address gets new ones
+  // and the dead keys stay dead.
+  auto again = dev0_.RegisterMemory(buf.data(), buf.size(),
+                                    MrScope::kApplication);
+  EXPECT_NE(again->lkey(), mr->lkey());
+  EXPECT_EQ(dev0_.FindByLkey(mr->lkey()), nullptr);
+  EXPECT_EQ(dev0_.FindCovering(buf.data(), buf.size()), again.get());
+}
+
+TEST_F(VerbsTest, LocalAndRemoteKeysNeverCross) {
+  std::vector<std::uint8_t> a(64), b(64), c(64);
+  std::vector<MemoryRegionPtr> mrs = {
+      dev0_.RegisterMemory(a.data(), a.size()),
+      dev0_.RegisterMemory(b.data(), b.size(), MrScope::kApplication),
+      dev0_.RegisterMemory(c.data(), c.size())};
+  for (const MemoryRegionPtr& mr : mrs) {
+    EXPECT_EQ(dev0_.FindByLkey(mr->lkey()), mr.get());
+    EXPECT_EQ(dev0_.FindByRkey(mr->rkey()), mr.get());
+    EXPECT_EQ(dev0_.FindByRkey(mr->lkey()), nullptr);
+    EXPECT_EQ(dev0_.FindByLkey(mr->rkey()), nullptr);
+  }
+  EXPECT_EQ(dev0_.FindByLkey(0), nullptr);
+  EXPECT_EQ(dev0_.FindByRkey(0), nullptr);
+  // Keys past the table resolve to nothing either.
+  EXPECT_EQ(dev0_.FindByLkey(mrs.back()->lkey() + 2), nullptr);
+  EXPECT_EQ(dev0_.FindByRkey(mrs.back()->rkey() + 2), nullptr);
+}
+
+TEST_F(VerbsTest, InternalRegionsNeverSatisfyAddressLookups) {
+  std::vector<std::uint8_t> ring(1024);
+  auto mr = dev0_.RegisterMemory(ring.data(), ring.size());
+  EXPECT_EQ(dev0_.FindByLkey(mr->lkey()), mr.get());
+  EXPECT_EQ(dev0_.FindCovering(ring.data(), 16), nullptr);
+  // Other devices keep their own tables.
+  auto other = dev1_.RegisterMemory(ring.data(), ring.size(),
+                                    MrScope::kApplication);
+  EXPECT_EQ(dev1_.FindCovering(ring.data(), 16), other.get());
+  EXPECT_EQ(dev0_.FindCovering(ring.data(), 16), nullptr);
+}
+
+TEST_F(VerbsTest, RegisteredBufferDeregistersOnDestruction) {
+  const std::size_t before = dev0_.RegisteredRegionCount();
+  std::uint32_t lkey = 0;
+  {
+    RegisteredBuffer owned(dev0_, 128, MrScope::kApplication);
+    lkey = owned.lkey();
+    EXPECT_EQ(owned.size(), 128u);
+    EXPECT_EQ(dev0_.FindCovering(owned.data(), 128)->lkey(), lkey);
+    // Moving keeps the bytes, and the registration, in place.
+    RegisteredBuffer moved = std::move(owned);
+    EXPECT_TRUE(owned.empty());
+    EXPECT_EQ(moved.lkey(), lkey);
+    EXPECT_EQ(dev0_.RegisteredRegionCount(), before + 1);
+  }
+  EXPECT_EQ(dev0_.RegisteredRegionCount(), before);
+  EXPECT_EQ(dev0_.FindByLkey(lkey), nullptr);
+}
+
 TEST_F(VerbsTest, SendRecvMovesBytes) {
   std::vector<std::uint8_t> src(1024), dst(1024, 0);
   FillPattern(src.data(), src.size(), 0, 42);
