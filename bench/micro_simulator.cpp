@@ -197,6 +197,40 @@ void BM_RpcCallRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_RpcCallRoundTrip);
 
+// Host cost of building muxed socket pairs, the set-up of perfbench's
+// rpc_mux workload: 1 000 pairs per iteration on width-8 groups with its
+// stream options (8 credits, 2 KiB rings and chunks).  Items are sockets;
+// building and tearing down the simulation is not timed.
+void BM_MuxedPairSetup(benchmark::State& state) {
+  constexpr int kPairs = 1000;
+  StreamOptions opts;
+  opts.credits = 8;
+  opts.intermediate_buffer_bytes = 2 * kKiB;
+  opts.max_wwi_chunk = 2 * kKiB;
+  MuxOptions mopts;
+  mopts.width = 8;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto sim = std::make_unique<Simulation>(
+        simnet::HardwareProfile::FdrInfiniBand().WithBusyPolling(), 1,
+        /*carry_payload=*/true);
+    auto g0 = std::make_unique<MuxGroup>(sim->device(0), mopts);
+    auto g1 = std::make_unique<MuxGroup>(sim->device(1), mopts);
+    MuxGroup::Connect(*g0, *g1);
+    state.ResumeTiming();
+    for (int i = 0; i < kPairs; ++i) {
+      benchmark::DoNotOptimize(sim->CreateMuxedPair(*g0, *g1, opts));
+    }
+    state.PauseTiming();
+    g1.reset();
+    g0.reset();
+    sim.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kPairs);
+}
+BENCHMARK(BM_MuxedPairSetup);
+
 }  // namespace
 
 BENCHMARK_MAIN();

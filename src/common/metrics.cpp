@@ -4,6 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
+
+#include "common/check.hpp"
 
 namespace exs::metrics {
 
@@ -111,36 +114,81 @@ double TimeWeightedSeries::Average(SimTime now) const {
 
 namespace {
 
-template <typename T>
-T& GetOrCreate(std::map<std::string, Registry::Named<T>>* map,
-               const std::string& name, const std::string& unit) {
-  auto it = map->find(name);
-  if (it == map->end()) {
-    it = map->emplace(name, Registry::Named<T>{unit, std::make_unique<T>()})
-             .first;
-  }
-  return *it->second.instrument;
+/// First entry whose name is not less than `name`.
+template <typename Entries>
+auto LowerBound(Entries& entries, std::string_view name) {
+  return std::lower_bound(
+      entries.begin(), entries.end(), name,
+      [](const auto& entry, std::string_view n) { return entry.first < n; });
 }
 
 }  // namespace
 
-Counter& Registry::GetCounter(const std::string& name,
-                              const std::string& unit) {
-  return GetOrCreate(&counters_, name, unit);
+template <typename T>
+typename Registry::Table<T>::const_iterator Registry::Table<T>::find(
+    std::string_view name) const {
+  auto it = LowerBound(entries_, name);
+  return it != entries_.end() && it->first == name ? it : entries_.end();
 }
 
-Gauge& Registry::GetGauge(const std::string& name, const std::string& unit) {
-  return GetOrCreate(&gauges_, name, unit);
+template <typename T>
+const Registry::Named<T>& Registry::Table<T>::at(std::string_view name) const {
+  auto it = find(name);
+  if (it == end()) {
+    throw std::out_of_range("no metric named " + std::string(name));
+  }
+  return it->second;
 }
 
-Histogram& Registry::GetHistogram(const std::string& name,
-                                  const std::string& unit) {
-  return GetOrCreate(&histograms_, name, unit);
+template <typename T>
+T& Registry::Table<T>::Get(std::string_view name, std::string_view unit) {
+  auto it = LowerBound(entries_, name);
+  if (it != entries_.end() && it->first == name) return *it->second.instrument;
+  Owned& o = *owned_.emplace_back(std::make_unique<Owned>());
+  o.name = name;
+  o.unit = unit;
+  entries_.insert(it, value_type{o.name, Named<T>{o.unit, &o.instrument}});
+  return o.instrument;
 }
 
-TimeWeightedSeries& Registry::GetSeries(const std::string& name,
-                                        const std::string& unit) {
-  return GetOrCreate(&series_, name, unit);
+template <typename T>
+void Registry::Table<T>::Bind(std::string_view name, std::string_view unit,
+                              T& instrument) {
+  auto it = LowerBound(entries_, name);
+  EXS_CHECK_MSG(it == entries_.end() || it->first != name,
+                "metric " << name << " is already registered");
+  entries_.insert(it, value_type{name, Named<T>{unit, &instrument}});
+}
+
+template class Registry::Table<Counter>;
+template class Registry::Table<Gauge>;
+template class Registry::Table<Histogram>;
+template class Registry::Table<TimeWeightedSeries>;
+
+Counter& Registry::GetCounter(std::string_view name, std::string_view unit) {
+  return counters_.Get(name, unit);
+}
+
+Gauge& Registry::GetGauge(std::string_view name, std::string_view unit) {
+  return gauges_.Get(name, unit);
+}
+
+Histogram& Registry::GetHistogram(std::string_view name,
+                                  std::string_view unit) {
+  return histograms_.Get(name, unit);
+}
+
+TimeWeightedSeries& Registry::GetSeries(std::string_view name,
+                                        std::string_view unit) {
+  return series_.Get(name, unit);
+}
+
+void Registry::Reserve(std::size_t counters, std::size_t gauges,
+                       std::size_t histograms, std::size_t series) {
+  counters_.entries_.reserve(counters_.entries_.size() + counters);
+  gauges_.entries_.reserve(gauges_.entries_.size() + gauges);
+  histograms_.entries_.reserve(histograms_.entries_.size() + histograms);
+  series_.entries_.reserve(series_.entries_.size() + series);
 }
 
 std::string FormatJsonNumber(double v) {
@@ -155,7 +203,7 @@ std::string FormatJsonNumber(double v) {
   return buf;
 }
 
-void AppendJsonString(std::string* out, const std::string& s) {
+void AppendJsonString(std::string* out, std::string_view s) {
   out->push_back('"');
   for (char c : s) {
     switch (c) {
@@ -293,10 +341,19 @@ std::string Registry::ToJson(SimTime now) const {
 
 std::string Registry::ToCsv(SimTime now) const {
   std::string out = "name,kind,unit,field,value\n";
-  auto row = [&out](const std::string& name, const char* kind,
-                    const std::string& unit, const char* field,
+  auto row = [&out](std::string_view name, const char* kind,
+                    std::string_view unit, const char* field,
                     const std::string& value) {
-    out += name + "," + kind + "," + unit + "," + field + "," + value + "\n";
+    out += name;
+    out += ',';
+    out += kind;
+    out += ',';
+    out += unit;
+    out += ',';
+    out += field;
+    out += ',';
+    out += value;
+    out += '\n';
   };
   for (const auto& [name, entry] : counters_) {
     row(name, "counter", entry.unit, "value", U64(entry.instrument->value()));

@@ -1,12 +1,15 @@
 // Metrics instruments for a discrete-event simulation.
 //
-// The protocol's hot paths record into pre-resolved instrument pointers —
-// no name lookups per event — and a Registry owns the instruments and
-// renders deterministic JSON/CSV snapshots.  Everything is keyed on
-// simulated time: the histograms bucket picosecond latencies, and the
-// time-series sampler weights values by the sim-time they were held, which
-// is the only averaging that makes sense under a discrete-event clock
-// (a value held for 1 ms must count 10^6 times more than one held 1 ns).
+// Instruments live in the object they measure: the protocol's hot paths
+// record into them directly, with no name lookup per event.  A Registry is
+// the name index over them — owners bind their instruments under static
+// names, and it creates (and owns) only those first asked for by name —
+// and renders deterministic JSON/CSV snapshots from that index.
+// Everything is keyed on simulated time: the histograms bucket picosecond
+// latencies, and the time-series sampler weights values by the sim-time
+// they were held, which is the only averaging that makes sense under a
+// discrete-event clock (a value held for 1 ms must count 10^6 times more
+// than one held 1 ns).
 //
 // Determinism matters more than fidelity here: identical seeded runs must
 // produce bit-identical snapshots, so sample retention uses a fixed
@@ -16,9 +19,10 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/sim_clock.hpp"
@@ -124,34 +128,90 @@ class TimeWeightedSeries {
   SimDuration sample_stride_ = 0;
 };
 
-/// Named instrument store.  Get* creates on first use and returns the same
-/// instrument afterwards; snapshots iterate in name order, so output is
-/// stable across runs.
+/// Name index over instruments.  An owner that holds its instruments (a
+/// socket) names them with Bind(); Get* creates an instrument the registry
+/// itself owns on first use and returns the same one afterwards — the
+/// bound one when the name is bound.  Each kind is a name-sorted table,
+/// so snapshots iterate in name order and output is stable across runs.
+///
+/// Lifetime rule: a bound instrument must stay at its address for as long
+/// as the registry is read, so owners that bind do not move.  Owned
+/// instruments live in heap storage of their own and never move either.
 class Registry {
  public:
-  Counter& GetCounter(const std::string& name, const std::string& unit = "");
-  Gauge& GetGauge(const std::string& name, const std::string& unit = "");
-  Histogram& GetHistogram(const std::string& name,
-                          const std::string& unit = "");
-  TimeWeightedSeries& GetSeries(const std::string& name,
-                                const std::string& unit = "");
-
   template <typename T>
   struct Named {
-    std::string unit;
-    std::unique_ptr<T> instrument;
+    std::string_view unit;
+    T* instrument = nullptr;
   };
 
-  const std::map<std::string, Named<Counter>>& counters() const {
-    return counters_;
+  /// One kind's read-only index, iterated as [name, named] pairs in name
+  /// order.  Lookups behave like std::map's: at() throws std::out_of_range
+  /// for an unknown name.
+  template <typename T>
+  class Table {
+   public:
+    using value_type = std::pair<std::string_view, Named<T>>;
+    using const_iterator = typename std::vector<value_type>::const_iterator;
+
+    const_iterator begin() const { return entries_.begin(); }
+    const_iterator end() const { return entries_.end(); }
+    std::size_t size() const { return entries_.size(); }
+    const_iterator find(std::string_view name) const;
+    std::size_t count(std::string_view name) const {
+      return find(name) == end() ? 0 : 1;
+    }
+    const Named<T>& at(std::string_view name) const;
+
+   private:
+    friend class Registry;
+    /// An instrument created by Get*, with the name and unit it answers to.
+    struct Owned {
+      std::string name;
+      std::string unit;
+      T instrument;
+    };
+
+    T& Get(std::string_view name, std::string_view unit);
+    void Bind(std::string_view name, std::string_view unit, T& instrument);
+
+    std::vector<value_type> entries_;  ///< sorted by name
+    std::vector<std::unique_ptr<Owned>> owned_;
+  };
+
+  Counter& GetCounter(std::string_view name, std::string_view unit = "");
+  Gauge& GetGauge(std::string_view name, std::string_view unit = "");
+  Histogram& GetHistogram(std::string_view name, std::string_view unit = "");
+  TimeWeightedSeries& GetSeries(std::string_view name,
+                                std::string_view unit = "");
+
+  /// Name an instrument owned elsewhere.  `name` and `unit` must have
+  /// static storage; binding a name already present is a programming
+  /// error.
+  void Bind(std::string_view name, std::string_view unit, Counter& counter) {
+    counters_.Bind(name, unit, counter);
   }
-  const std::map<std::string, Named<Gauge>>& gauges() const { return gauges_; }
-  const std::map<std::string, Named<Histogram>>& histograms() const {
-    return histograms_;
+  void Bind(std::string_view name, std::string_view unit, Gauge& gauge) {
+    gauges_.Bind(name, unit, gauge);
   }
-  const std::map<std::string, Named<TimeWeightedSeries>>& series() const {
-    return series_;
+  void Bind(std::string_view name, std::string_view unit,
+            Histogram& histogram) {
+    histograms_.Bind(name, unit, histogram);
   }
+  void Bind(std::string_view name, std::string_view unit,
+            TimeWeightedSeries& series) {
+    series_.Bind(name, unit, series);
+  }
+
+  /// Room for this many more entries of each kind, so an owner that binds
+  /// a known set grows each table once.
+  void Reserve(std::size_t counters, std::size_t gauges,
+               std::size_t histograms, std::size_t series);
+
+  const Table<Counter>& counters() const { return counters_; }
+  const Table<Gauge>& gauges() const { return gauges_; }
+  const Table<Histogram>& histograms() const { return histograms_; }
+  const Table<TimeWeightedSeries>& series() const { return series_; }
 
   /// JSON object {"counters":{...},"gauges":{...},"histograms":{...},
   /// "series":{...}}.  `now` closes the open interval of every series.
@@ -161,16 +221,16 @@ class Registry {
   std::string ToCsv(SimTime now) const;
 
  private:
-  std::map<std::string, Named<Counter>> counters_;
-  std::map<std::string, Named<Gauge>> gauges_;
-  std::map<std::string, Named<Histogram>> histograms_;
-  std::map<std::string, Named<TimeWeightedSeries>> series_;
+  Table<Counter> counters_;
+  Table<Gauge> gauges_;
+  Table<Histogram> histograms_;
+  Table<TimeWeightedSeries> series_;
 };
 
 /// Deterministic JSON number rendering shared by the exporters: integral
 /// values print without a fraction, everything else with enough digits to
 /// round-trip.
 std::string FormatJsonNumber(double v);
-void AppendJsonString(std::string* out, const std::string& s);
+void AppendJsonString(std::string* out, std::string_view s);
 
 }  // namespace exs::metrics

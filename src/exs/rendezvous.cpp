@@ -12,7 +12,7 @@ void RendezvousTx::Submit(std::uint64_t id, const void* buf,
                           std::uint64_t len, std::uint32_t rkey) {
   EXS_CHECK_MSG(!shutdown_requested_, "send after Close()");
   if (len == 0) {
-    ctx_.metrics->sends_completed->Increment();
+    ctx_.metrics->sends_completed.Increment();
     ctx_.events->Push(Event{EventType::kSendComplete, id, 0, false});
     return;
   }
@@ -37,7 +37,7 @@ void RendezvousTx::Pump() {
     msg.seq = seq_;
     ctx_.channel->SendControl(msg);
     seq_ += s.len;
-    ctx_.metrics->adverts_sent->Increment();  // source advertisements, this direction
+    ctx_.metrics->adverts_sent.Increment();  // source advertisements, this direction
     awaiting_.push_back(s);
   }
   if (shutdown_requested_ && !shutdown_sent_ && unadvertised_.empty() &&
@@ -54,8 +54,8 @@ void RendezvousTx::OnReadDone(std::uint64_t bytes) {
   PendingSend s = awaiting_.front();
   EXS_CHECK_MSG(bytes == s.len, "READ-DONE must cover the whole source");
   awaiting_.pop_front();
-  ctx_.metrics->sends_completed->Increment();
-  ctx_.metrics->bytes_sent->Add(s.len);
+  ctx_.metrics->sends_completed.Increment();
+  ctx_.metrics->bytes_sent.Add(s.len);
   ctx_.events->Push(Event{EventType::kSendComplete, s.id, s.len, false});
 }
 
@@ -72,7 +72,7 @@ void RendezvousRx::Submit(std::uint64_t id, void* buf, std::uint64_t len,
                           std::uint32_t lkey, bool waitall) {
   EXS_CHECK_MSG(len > 0, "zero-length receive is not meaningful");
   if (eof_delivered_) {
-    ctx_.metrics->recvs_completed->Increment();
+    ctx_.metrics->recvs_completed.Increment();
     ctx_.events->Push(Event{EventType::kRecvComplete, id, 0, false});
     return;
   }
@@ -94,7 +94,7 @@ void RendezvousRx::OnSrcAdvert(const wire::ControlMessage& msg) {
   EXS_CHECK_MSG(msg.seq == adverts_seen_seq_, "source adverts out of order");
   adverts_seen_seq_ += msg.len;
   sources_.push_back(src);
-  ctx_.metrics->adverts_received->Increment();
+  ctx_.metrics->adverts_received.Increment();
   PumpReads();
 }
 
@@ -128,8 +128,8 @@ void RendezvousRx::PumpReads() {
     recv->claimed += n;
     src->claimed += n;
     ++outstanding_reads_;
-    ctx_.metrics->direct_transfers->Increment();  // READs are zero-copy transfers
-    ctx_.metrics->direct_bytes->Add(n);
+    ctx_.metrics->direct_transfers.Increment();  // READs are zero-copy transfers
+    ctx_.metrics->direct_bytes.Add(n);
   }
 }
 
@@ -138,7 +138,7 @@ void RendezvousRx::OnReadComplete(std::uint64_t /*wr_id*/,
   EXS_CHECK(outstanding_reads_ > 0);
   --outstanding_reads_;
   seq_ += bytes;
-  ctx_.metrics->direct_bytes_received->Add(bytes);
+  ctx_.metrics->direct_bytes_received.Add(bytes);
 
   // Attribute to the oldest receive still waiting for claimed bytes.
   EXS_CHECK(!pending_.empty());
@@ -170,8 +170,8 @@ void RendezvousRx::OnReadComplete(std::uint64_t /*wr_id*/,
     bool short_ok = !front.waitall && front.filled > 0 &&
                     front.filled == front.claimed && sources_.empty();
     if (!full && !short_ok) break;
-    ctx_.metrics->recvs_completed->Increment();
-    ctx_.metrics->bytes_received->Add(front.filled);
+    ctx_.metrics->recvs_completed.Increment();
+    ctx_.metrics->bytes_received.Add(front.filled);
     ctx_.events->Push(
         Event{EventType::kRecvComplete, front.id, front.filled, false});
     pending_.pop_front();
@@ -188,7 +188,7 @@ void RendezvousRx::FlushDones() {
     msg.freed = done_queue_.front();
     done_queue_.pop_front();
     ctx_.channel->SendControl(msg);
-    ctx_.metrics->acks_sent->Increment();  // confirmations, this direction
+    ctx_.metrics->acks_sent.Increment();  // confirmations, this direction
   }
 }
 
@@ -205,8 +205,8 @@ void RendezvousRx::MaybeFinishEof() {
   while (!pending_.empty()) {
     PendingRecv r = pending_.front();
     pending_.pop_front();
-    ctx_.metrics->recvs_completed->Increment();
-    ctx_.metrics->bytes_received->Add(r.filled);
+    ctx_.metrics->recvs_completed.Increment();
+    ctx_.metrics->bytes_received.Add(r.filled);
     ctx_.events->Push(
         Event{EventType::kRecvComplete, r.id, r.filled, false});
   }

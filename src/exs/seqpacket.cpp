@@ -21,7 +21,7 @@ void SeqPacketTx::Submit(std::uint64_t id, const void* buf, std::uint64_t len,
 
 void SeqPacketTx::OnAdvert(const wire::ControlMessage& msg) {
   adverts_.push_back(Advert{msg.addr, msg.rkey, msg.len});
-  ctx_.metrics->adverts_received->Increment();
+  ctx_.metrics->adverts_received.Increment();
   Trace(TraceEventType::kAdvertReceived, msg.len, msg.seq);
   Pump();
 }
@@ -43,8 +43,8 @@ void SeqPacketTx::Pump() {
 
     std::uint64_t bytes = s.len < a.len ? s.len : a.len;
     bool truncated = s.len > a.len;
-    ctx_.metrics->direct_transfers->Increment();
-    ctx_.metrics->direct_bytes->Add(bytes);
+    ctx_.metrics->direct_transfers.Increment();
+    ctx_.metrics->direct_bytes.Add(bytes);
     // Traced before seq_ advances, like the stream sender: ev.seq is the
     // cumulative byte count *before* this message.
     Trace(TraceEventType::kDirectPosted, bytes);
@@ -71,8 +71,8 @@ void SeqPacketTx::OnWwiComplete(std::uint64_t wr_id) {
   Sent sent = awaiting_ack_.front();
   EXS_CHECK_MSG(sent.id == wr_id, "SEQPACKET completions arrive in order");
   awaiting_ack_.pop_front();
-  ctx_.metrics->sends_completed->Increment();
-  ctx_.metrics->bytes_sent->Add(sent.bytes);
+  ctx_.metrics->sends_completed.Increment();
+  ctx_.metrics->bytes_sent.Add(sent.bytes);
   ctx_.events->Push(
       Event{EventType::kSendComplete, sent.id, sent.bytes, sent.truncated});
 }
@@ -85,7 +85,7 @@ void SeqPacketRx::OnShutdown() {
   while (!pending_.empty()) {
     PendingRecv rec = pending_.front();
     pending_.pop_front();
-    ctx_.metrics->recvs_completed->Increment();
+    ctx_.metrics->recvs_completed.Increment();
     ctx_.events->Push(Event{EventType::kRecvComplete, rec.id, 0, false});
   }
   ctx_.events->Push(Event{EventType::kPeerClosed, 0, 0, false});
@@ -95,7 +95,7 @@ void SeqPacketRx::Submit(std::uint64_t id, void* buf, std::uint64_t len,
                          std::uint32_t rkey) {
   EXS_CHECK_MSG(len > 0, "zero-length receive is not meaningful");
   if (peer_closed_) {
-    ctx_.metrics->recvs_completed->Increment();
+    ctx_.metrics->recvs_completed.Increment();
     ctx_.events->Push(Event{EventType::kRecvComplete, id, 0, false});
     return;
   }
@@ -123,7 +123,7 @@ void SeqPacketRx::AdvertisePending() {
     msg.seq = ++advert_seq_;
     ctx_.channel->SendControl(msg);
     rec.adverted = true;
-    ctx_.metrics->adverts_sent->Increment();
+    ctx_.metrics->adverts_sent.Increment();
     Trace(TraceEventType::kAdvertSent, rec.len, advert_seq_);
   }
 }
@@ -134,9 +134,9 @@ void SeqPacketRx::OnData(bool indirect, std::uint64_t len) {
   PendingRecv rec = pending_.front();
   EXS_CHECK_MSG(rec.adverted, "message arrived for un-advertised receive");
   pending_.pop_front();
-  ctx_.metrics->recvs_completed->Increment();
-  ctx_.metrics->bytes_received->Add(len);
-  ctx_.metrics->direct_bytes_received->Add(len);
+  ctx_.metrics->recvs_completed.Increment();
+  ctx_.metrics->bytes_received.Add(len);
+  ctx_.metrics->direct_bytes_received.Add(len);
   // Traced after seq_ advances, like the stream receiver: ev.seq is the
   // cumulative byte count *including* this message.
   seq_ += len;

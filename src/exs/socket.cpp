@@ -26,12 +26,6 @@ const char* ToString(RailScheduler scheduler) {
   return "?";
 }
 
-namespace {
-/// An implementation guard, not a protocol limit: catches garbage rail
-/// counts before they allocate hundreds of queue pairs.
-constexpr std::uint32_t kMaxRails = 16;
-}  // namespace
-
 Socket::Socket(verbs::Device& device, SocketType type, StreamOptions options,
                std::string name, SocketWiring wiring)
     : device_(&device),
@@ -55,8 +49,11 @@ Socket::Socket(verbs::Device& device, SocketType type, StreamOptions options,
                     (type_ == SocketType::kStream &&
                      options_.mode != ProtocolMode::kReadRendezvous),
                 "recovery supports stream sockets only");
-  inst_ = SocketInstruments::Create(registry_);
   mux_ = std::move(wiring_.mux_stream);
+  const std::size_t rails = mux_ != nullptr ? 0 : options_.rails;
+  if (rails > 0) rail_inst_ = std::make_unique<RailInstruments[]>(rails);
+  BindSocketInstruments(registry_, inst_, mux_ != nullptr,
+                        {rail_inst_.get(), rails});
   if (mux_ != nullptr) {
     EXS_CHECK_MSG(type_ == SocketType::kStream &&
                       options_.mode != ProtocolMode::kReadRendezvous,
@@ -68,13 +65,12 @@ Socket::Socket(verbs::Device& device, SocketType type, StreamOptions options,
                   "compose with a muxed socket");
     // No dedicated channel: the shared slot QPs live in the MuxGroup.
     // Per-socket mux telemetry replaces the rail0 instruments.
-    mux_->SetInstruments(&registry_.GetHistogram("mux.hol_wait", "ps"),
-                         &registry_.GetCounter("mux.parks", "events"));
+    mux_->SetInstruments(&inst_.mux_hol_wait, &inst_.mux_parks);
   } else {
     channel_ = std::make_unique<ControlChannel>(device, options_.credits,
                                                 wiring_.shared_slots,
                                                 wiring_.slots_reserved);
-    channel_->SetInstruments(inst_.send_credits, inst_.credit_messages_sent);
+    channel_->SetInstruments(&inst_.send_credits, &inst_.credit_messages_sent);
     InstrumentRail(0, *channel_);
     for (std::uint32_t rail = 1; rail < options_.rails; ++rail) {
       data_rails_.push_back(
@@ -112,7 +108,9 @@ Socket::Socket(verbs::Device& device, SocketType type, StreamOptions options,
     // mr.* instruments.
     device.EnableMrCache(options_.batching.mr_cache_entries);
     device.EnableMrCostModel();
-    device.SetMrInstruments(inst_.mr_registrations, inst_.mr_cache_hits);
+    device.SetMrInstruments(&inst_.mr_registrations, &inst_.mr_cache_hits);
+    mr_mirror_.device = &device;
+    mr_mirror_.inst = &inst_;
   }
   events_ = std::make_unique<EventQueue>(device.node().cpu(),
                                          device.profile().per_event_cpu);
@@ -130,7 +128,7 @@ Socket::Socket(verbs::Device& device, SocketType type, StreamOptions options,
     packet_tx_ = std::make_unique<SeqPacketTx>(MakeContext(&tx_trace_));
     packet_rx_ = std::make_unique<SeqPacketRx>(MakeContext(&rx_trace_));
   }
-  if (rx_) rx_->SetRailHolInstruments(rail_hol_inst_);
+  if (rx_) rx_->SetRailInstruments({rail_inst_.get(), rails});
   WireCallbacks();
   for (std::size_t rail = 1; rail < ProvisionedRails(); ++rail) {
     WireRailCallbacks(rail);
@@ -149,33 +147,24 @@ void Socket::EnableChunkSpans(spans::SpanCollector* collector) {
 }
 
 void Socket::InstrumentRail(std::size_t rail, ControlChannel& channel) {
-  // Per-queue-pair telemetry (satellite of the striping work): the verbs
-  // QueuePairStats counters become named registry instruments so per-rail
-  // activity shows up in the metrics JSON and — via the inflight_wrs
-  // series — as counter tracks in the Perfetto timeline export.
-  std::string prefix = "rail" + std::to_string(rail) + ".";
+  // Per-queue-pair telemetry: the verbs QueuePairStats counters mirror
+  // into the rail's named instruments, so per-rail activity shows up in
+  // the metrics JSON and — via the inflight_wrs series — as counter
+  // tracks in the Perfetto timeline export.
+  RailInstruments& r = rail_inst_[rail];
   verbs::QueuePairInstruments qp;
-  qp.sends_posted = &registry_.GetCounter(prefix + "sends_posted", "wrs");
-  qp.recvs_posted = &registry_.GetCounter(prefix + "recvs_posted", "wrs");
-  qp.payload_bytes_sent =
-      &registry_.GetCounter(prefix + "payload_bytes_sent", "bytes");
-  qp.wire_bytes_sent =
-      &registry_.GetCounter(prefix + "wire_bytes_sent", "bytes");
-  qp.messages_delivered =
-      &registry_.GetCounter(prefix + "messages_delivered", "messages");
-  qp.completion_latency =
-      &registry_.GetHistogram(prefix + "completion_latency", "ps");
+  qp.sends_posted = &r.sends_posted;
+  qp.recvs_posted = &r.recvs_posted;
+  qp.payload_bytes_sent = &r.payload_bytes_sent;
+  qp.wire_bytes_sent = &r.wire_bytes_sent;
+  qp.messages_delivered = &r.messages_delivered;
+  qp.completion_latency = &r.completion_latency;
   // Doorbell batching aggregates socket-wide: every rail shares the
   // doorbell.* counters, so the socket's achieved batch depth is simply
   // doorbell.wrs_batched / doorbell.batches.
-  qp.doorbells = inst_.doorbell_batches;
-  qp.batched_wrs = inst_.doorbell_wrs;
-  channel.SetQpInstruments(
-      qp, &registry_.GetSeries(prefix + "inflight_wrs", "wrs"));
-  // Head-of-line blocking per rail: time an arriving chunk sat in the
-  // stripe reorder buffer behind an earlier-sequence chunk (always 0 on a
-  // single-rail connection, recorded anyway so counts stay comparable).
-  rail_hol_inst_.push_back(&registry_.GetHistogram(prefix + "hol_wait", "ps"));
+  qp.doorbells = &inst_.doorbell_batches;
+  qp.batched_wrs = &inst_.doorbell_wrs;
+  channel.SetQpInstruments(qp, &r.inflight_wrs);
 }
 
 StreamContext Socket::MakeContext(TraceLog* trace) {
@@ -392,7 +381,7 @@ std::uint64_t Socket::Sendv(const IoSlice* iov, std::uint32_t n,
   EXS_CHECK_MSG(n >= 1 && n <= verbs::kMaxSge,
                 "Sendv arity must be 1.." << verbs::kMaxSge << ", got " << n);
   std::uint64_t id = next_request_id_++;
-  inst_.sendv_calls->Increment();
+  inst_.sendv_calls.Increment();
   verbs::Sge sges[verbs::kMaxSge];
   std::vector<verbs::MemoryRegionPtr> pins;
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -451,41 +440,41 @@ bool Socket::CloseRequested() const {
 
 StreamStats Socket::stats() const {
   StreamStats s;
-  s.direct_transfers = inst_.direct_transfers->value();
-  s.indirect_transfers = inst_.indirect_transfers->value();
-  s.direct_bytes = inst_.direct_bytes->value();
-  s.indirect_bytes = inst_.indirect_bytes->value();
-  s.mode_switches = inst_.mode_switches->value();
-  s.adverts_received = inst_.adverts_received->value();
-  s.adverts_discarded = inst_.adverts_discarded->value();
-  s.sender_phase = static_cast<std::uint64_t>(inst_.tx_phase->value());
-  s.coalesced_sends = inst_.coalesced_sends->value();
-  s.coalesced_bytes = inst_.coalesced_bytes->value();
-  s.coalesce_flushes = inst_.coalesce_flush_maxbytes->value() +
-                       inst_.coalesce_flush_timeout->value() +
-                       inst_.coalesce_flush_advert->value() +
-                       inst_.coalesce_flush_phase->value() +
-                       inst_.coalesce_flush_close->value() +
-                       inst_.coalesce_flush_ordering->value();
-  s.doorbell_batches = inst_.doorbell_batches->value();
-  s.batched_wrs = inst_.doorbell_wrs->value();
-  s.sendv_calls = inst_.sendv_calls->value();
+  s.direct_transfers = inst_.direct_transfers.value();
+  s.indirect_transfers = inst_.indirect_transfers.value();
+  s.direct_bytes = inst_.direct_bytes.value();
+  s.indirect_bytes = inst_.indirect_bytes.value();
+  s.mode_switches = inst_.mode_switches.value();
+  s.adverts_received = inst_.adverts_received.value();
+  s.adverts_discarded = inst_.adverts_discarded.value();
+  s.sender_phase = static_cast<std::uint64_t>(inst_.tx_phase.value());
+  s.coalesced_sends = inst_.coalesced_sends.value();
+  s.coalesced_bytes = inst_.coalesced_bytes.value();
+  s.coalesce_flushes = inst_.coalesce_flush_maxbytes.value() +
+                       inst_.coalesce_flush_timeout.value() +
+                       inst_.coalesce_flush_advert.value() +
+                       inst_.coalesce_flush_phase.value() +
+                       inst_.coalesce_flush_close.value() +
+                       inst_.coalesce_flush_ordering.value();
+  s.doorbell_batches = inst_.doorbell_batches.value();
+  s.batched_wrs = inst_.doorbell_wrs.value();
+  s.sendv_calls = inst_.sendv_calls.value();
   // Device-level truth (the registry mirrors only arm with the cache):
   // actual registrations and cache-served pins on this socket's device.
   s.mr_registrations = device_->mr_cache_stats().registrations;
   s.mr_cache_hits = device_->mr_cache_stats().cache_hits;
-  s.adverts_sent = inst_.adverts_sent->value();
-  s.acks_sent = inst_.acks_sent->value();
-  s.acks_piggybacked = inst_.acks_piggybacked->value();
-  s.credit_messages_sent = inst_.credit_messages_sent->value();
-  s.bytes_copied_out = inst_.bytes_copied_out->value();
-  s.direct_bytes_received = inst_.direct_bytes_received->value();
-  s.indirect_bytes_received = inst_.indirect_bytes_received->value();
-  s.receiver_phase = static_cast<std::uint64_t>(inst_.rx_phase->value());
-  s.sends_completed = inst_.sends_completed->value();
-  s.recvs_completed = inst_.recvs_completed->value();
-  s.bytes_sent = inst_.bytes_sent->value();
-  s.bytes_received = inst_.bytes_received->value();
+  s.adverts_sent = inst_.adverts_sent.value();
+  s.acks_sent = inst_.acks_sent.value();
+  s.acks_piggybacked = inst_.acks_piggybacked.value();
+  s.credit_messages_sent = inst_.credit_messages_sent.value();
+  s.bytes_copied_out = inst_.bytes_copied_out.value();
+  s.direct_bytes_received = inst_.direct_bytes_received.value();
+  s.indirect_bytes_received = inst_.indirect_bytes_received.value();
+  s.receiver_phase = static_cast<std::uint64_t>(inst_.rx_phase.value());
+  s.sends_completed = inst_.sends_completed.value();
+  s.recvs_completed = inst_.recvs_completed.value();
+  s.bytes_sent = inst_.bytes_sent.value();
+  s.bytes_received = inst_.bytes_received.value();
   return s;
 }
 
@@ -503,7 +492,7 @@ void Socket::OnTransportFatal(verbs::WcStatus /*status*/) {
   if (fatal_event_raised_) return;
   fatal_event_raised_ = true;
   death_time_ = device_->scheduler().Now();
-  inst_.transport_kills->Increment();
+  inst_.transport_kills.Increment();
   if (tx_) tx_->NoteTransportKilled();
   if (rx_) rx_->NoteTransportKilled();
   events_->Push(Event{EventType::kError, 0, 0, false});
@@ -566,11 +555,11 @@ void Socket::ResumePair(Socket& a, Socket& b, std::size_t max_rails) {
   b.fatal_event_raised_ = false;
 
   const SimTime now = a.device_->scheduler().Now();
-  a.inst_.resumes->Increment();
-  b.inst_.resumes->Increment();
-  a.inst_.resume_latency->Record(static_cast<std::uint64_t>(
+  a.inst_.resumes.Increment();
+  b.inst_.resumes.Increment();
+  a.inst_.resume_latency.Record(static_cast<std::uint64_t>(
       now >= a.death_time_ ? now - a.death_time_ : 0));
-  b.inst_.resume_latency->Record(static_cast<std::uint64_t>(
+  b.inst_.resume_latency.Record(static_cast<std::uint64_t>(
       now >= b.death_time_ ? now - b.death_time_ : 0));
 
   // Each direction re-synchronises independently: the sender rewinds to

@@ -245,8 +245,8 @@ class Socket : public simnet::TransportKillTarget {
   /// First channel death of a (possibly multi-rail) transport kill: trace
   /// markers on both halves, one kError event, the kill counter.
   void OnTransportFatal(verbs::WcStatus status);
-  /// Register "rail<i>.*" instruments and attach them to the channel
-  /// carrying that rail (rail 0 is the control channel itself).
+  /// Attach the "rail<i>.*" instruments to the channel carrying that rail
+  /// (rail 0 is the control channel itself).
   void InstrumentRail(std::size_t rail, ControlChannel& channel);
   /// The transport the protocol halves drive: the mux stream when wired,
   /// else the dedicated control channel.
@@ -261,9 +261,23 @@ class Socket : public simnet::TransportKillTarget {
   SocketWiring wiring_;
   metrics::Registry registry_;
   SocketInstruments inst_;
-  /// "rail<i>.hol_wait" histograms, index = rail (built by InstrumentRail,
-  /// handed to the receiver half at construction).
-  std::vector<metrics::Histogram*> rail_hol_inst_;
+  /// One per provisioned rail, index = rail; sized once at construction
+  /// (none on a muxed socket), so bound instruments never move.
+  std::unique_ptr<RailInstruments[]> rail_inst_;
+  /// The device's mr.* mirror is its only pointer into a socket, and the
+  /// device outlives the socket (a rejected connect discards its socket at
+  /// once).  This takes the mirror back when the socket dies, also when a
+  /// constructor check throws after the mirror was armed.
+  struct MrMirrorRelease {
+    verbs::Device* device = nullptr;  ///< null until the mirror is armed
+    SocketInstruments* inst = nullptr;
+    ~MrMirrorRelease() {
+      if (device != nullptr) {
+        device->DetachMrInstruments(&inst->mr_registrations,
+                                    &inst->mr_cache_hits);
+      }
+    }
+  } mr_mirror_;
   std::uint64_t span_tx_endpoint_ = 0;
   std::uint64_t span_rx_endpoint_ = 0;
   std::unique_ptr<ControlChannel> channel_;  ///< null on muxed sockets

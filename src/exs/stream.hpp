@@ -476,13 +476,13 @@ class StreamRx {
     span_endpoint_ = endpoint;
   }
 
-  /// Attach per-rail head-of-line-blocking histograms (`rail<i>.hol_wait`
-  /// in the socket registry): the time each arriving chunk spent parked in
-  /// the stripe reorder buffer behind an earlier-sequence chunk, recorded
-  /// against the rail it arrived on.  Entries may be null; the vector may
-  /// be shorter than the rail count.
-  void SetRailHolInstruments(std::vector<metrics::Histogram*> hol) {
-    rail_hol_ = std::move(hol);
+  /// Attach the per-rail instruments, index = rail.  Their hol_wait
+  /// histograms (`rail<i>.hol_wait` in the socket registry) record the
+  /// time each arriving chunk spent parked in the stripe reorder buffer
+  /// behind an earlier-sequence chunk, against the rail it arrived on.
+  /// The span may be shorter than the rail count (empty when muxed).
+  void SetRailInstruments(std::span<RailInstruments> rails) {
+    rail_inst_ = rails;
   }
 
   /// The peer closed its sending direction.  In-order delivery puts the
@@ -645,7 +645,7 @@ class StreamRx {
   std::uint64_t span_ring_copied_ = 0;  ///< bytes ever copied out of it
   std::deque<SpanDeliverWait> span_deliver_wait_;
   std::deque<SpanRingWait> span_ring_wait_;
-  std::vector<metrics::Histogram*> rail_hol_;  ///< per-rail HoL wait (ps)
+  std::span<RailInstruments> rail_inst_;  ///< records their hol_wait
 };
 
 }  // namespace exs

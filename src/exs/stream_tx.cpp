@@ -18,7 +18,7 @@ void StreamTx::SetRemoteRing(std::uint64_t addr, std::uint32_t rkey,
   remote_ring_ = RingCursor(capacity);
   // Re-attach the occupancy probe: assignment above replaced the cursor.
   if (ctx_.metrics != nullptr) {
-    remote_ring_.SetOccupancyProbe(ctx_.metrics->tx_remote_ring_used,
+    remote_ring_.SetOccupancyProbe(&ctx_.metrics->tx_remote_ring_used,
                                    ctx_.scheduler);
   }
 }
@@ -95,7 +95,7 @@ void StreamTx::Enqueue(std::uint64_t id, std::span<const verbs::Sge> sges,
     // reach of the golden-trace and invariant suites.
     for (const auto& mr : pins) ctx_.channel->device().UnpinCached(mr);
     Trace(TraceEventType::kZeroLengthSend);
-    ctx_.metrics->sends_completed->Increment();
+    ctx_.metrics->sends_completed.Increment();
     ctx_.events->Push(Event{EventType::kSendComplete, id, 0, false});
     return;
   }
@@ -197,8 +197,8 @@ void StreamTx::StageCoalesced(std::uint64_t id, const void* buf,
   if (staged_.empty()) staged_first_time_ = ctx_.scheduler->Now();
   staged_.push_back(StagedSend{id, len});
   staged_bytes_ += len;
-  ctx_.metrics->coalesced_sends->Increment();
-  ctx_.metrics->coalesced_bytes->Add(len);
+  ctx_.metrics->coalesced_sends.Increment();
+  ctx_.metrics->coalesced_bytes.Add(len);
   Trace(TraceEventType::kSendStaged, len);
   if (staged_.size() == 1) {
     flush_timer_ = ctx_.scheduler->ScheduleAfter(knobs.max_delay, [this] {
@@ -234,22 +234,22 @@ void StreamTx::FlushCoalesced(CoalesceFlushReason reason) {
         static_cast<std::uint64_t>(reason));
   switch (reason) {
     case CoalesceFlushReason::kMaxBytes:
-      ctx_.metrics->coalesce_flush_maxbytes->Increment();
+      ctx_.metrics->coalesce_flush_maxbytes.Increment();
       break;
     case CoalesceFlushReason::kTimeout:
-      ctx_.metrics->coalesce_flush_timeout->Increment();
+      ctx_.metrics->coalesce_flush_timeout.Increment();
       break;
     case CoalesceFlushReason::kAdvert:
-      ctx_.metrics->coalesce_flush_advert->Increment();
+      ctx_.metrics->coalesce_flush_advert.Increment();
       break;
     case CoalesceFlushReason::kPhaseChange:
-      ctx_.metrics->coalesce_flush_phase->Increment();
+      ctx_.metrics->coalesce_flush_phase.Increment();
       break;
     case CoalesceFlushReason::kClose:
-      ctx_.metrics->coalesce_flush_close->Increment();
+      ctx_.metrics->coalesce_flush_close.Increment();
       break;
     case CoalesceFlushReason::kOrdering:
-      ctx_.metrics->coalesce_flush_ordering->Increment();
+      ctx_.metrics->coalesce_flush_ordering.Increment();
       break;
   }
   inflight_.emplace(rec->id, rec);
@@ -281,7 +281,7 @@ void StreamTx::OnAdvert(const wire::ControlMessage& msg) {
   EXS_CHECK_MSG(PhaseIsDirect(advert.phase),
                 "Lemma 1: every ADVERT carries a direct phase number");
   advert_queue_.push_back(advert);
-  ctx_.metrics->adverts_received->Increment();
+  ctx_.metrics->adverts_received.Increment();
   Trace(TraceEventType::kAdvertReceived, advert.len, advert.seq,
         advert.phase);
   Pump();
@@ -314,22 +314,22 @@ void StreamTx::AdvancePhaseTo(std::uint64_t phase) {
   const SimTime now = ctx_.scheduler->Now();
   const SimDuration dwell = now - phase_start_;
   if (PhaseIsDirect(phase_)) {
-    ctx_.metrics->tx_phase_dwell_direct->Record(
+    ctx_.metrics->tx_phase_dwell_direct.Record(
         static_cast<std::uint64_t>(dwell));
   } else {
-    ctx_.metrics->tx_phase_dwell_indirect->Record(
+    ctx_.metrics->tx_phase_dwell_indirect.Record(
         static_cast<std::uint64_t>(dwell));
   }
   phase_ = phase;
   phase_start_ = now;
-  ctx_.metrics->tx_phase->Set(static_cast<double>(phase_));
+  ctx_.metrics->tx_phase.Set(static_cast<double>(phase_));
   Trace(TraceEventType::kSenderPhaseChanged);
 }
 
 void StreamTx::NoteWwisInFlight(std::int64_t delta) {
   wwis_in_flight_ = static_cast<std::uint64_t>(
       static_cast<std::int64_t>(wwis_in_flight_) + delta);
-  ctx_.metrics->tx_inflight_wwis->Record(
+  ctx_.metrics->tx_inflight_wwis.Record(
       ctx_.scheduler->Now(), static_cast<double>(wwis_in_flight_));
 }
 
@@ -378,7 +378,7 @@ void StreamTx::PumpChunks() {
           AdvancePhaseTo(NextPhase(advert.phase));
         }
         advert_queue_.pop_front();
-        ctx_.metrics->adverts_discarded->Increment();
+        ctx_.metrics->adverts_discarded.Increment();
         continue;
       }
       std::size_t rail = PickRail();
@@ -468,8 +468,8 @@ void StreamTx::PostDirect(PendingSend& s, Advert& advert, std::uint64_t len,
   Trace(TraceEventType::kDirectPosted, len, Striping() ? stripe_seq_ : 0,
         Striping() ? rail : 0);
   NoteTransfer(/*indirect=*/false);
-  ctx_.metrics->direct_transfers->Increment();
-  ctx_.metrics->direct_bytes->Add(len);
+  ctx_.metrics->direct_transfers.Increment();
+  ctx_.metrics->direct_bytes.Add(len);
   ++s.wwis_outstanding;
   NoteWwisInFlight(+1);
   std::uint64_t trace_ctx = 0;
@@ -491,8 +491,8 @@ void StreamTx::PostIndirect(PendingSend& s, std::uint64_t len,
   Trace(TraceEventType::kIndirectPosted, len, Striping() ? stripe_seq_ : 0,
         Striping() ? rail : 0);
   NoteTransfer(/*indirect=*/true);
-  ctx_.metrics->indirect_transfers->Increment();
-  ctx_.metrics->indirect_bytes->Add(len);
+  ctx_.metrics->indirect_transfers.Increment();
+  ctx_.metrics->indirect_bytes.Add(len);
   ++s.wwis_outstanding;
   NoteWwisInFlight(+1);
   std::uint64_t offset = remote_ring_.write_offset();
@@ -544,7 +544,7 @@ void StreamTx::PostWwiChunk(PendingSend& s, std::uint64_t len,
 
 void StreamTx::NoteTransfer(bool indirect) {
   if (indirect != last_transfer_indirect_) {
-    ctx_.metrics->mode_switches->Increment();
+    ctx_.metrics->mode_switches.Increment();
     last_transfer_indirect_ = indirect;
   }
 }
@@ -596,8 +596,8 @@ void StreamTx::CompleteSend(std::shared_ptr<PendingSend> rec) {
     rec->pinned.clear();
   }
   if (rec->members.empty()) {
-    ctx_.metrics->sends_completed->Increment();
-    ctx_.metrics->bytes_sent->Add(rec->len);
+    ctx_.metrics->sends_completed.Increment();
+    ctx_.metrics->bytes_sent.Add(rec->len);
     ctx_.events->Push(
         Event{EventType::kSendComplete, rec->id, rec->len, false});
     return;
@@ -606,8 +606,8 @@ void StreamTx::CompleteSend(std::shared_ptr<PendingSend> rec) {
   // the application submitted them — callers cannot tell their sends were
   // merged on the wire.
   for (const StagedSend& m : rec->members) {
-    ctx_.metrics->sends_completed->Increment();
-    ctx_.metrics->bytes_sent->Add(m.len);
+    ctx_.metrics->sends_completed.Increment();
+    ctx_.metrics->bytes_sent.Add(m.len);
     ctx_.events->Push(Event{EventType::kSendComplete, m.id, m.len, false});
   }
 }
@@ -675,7 +675,7 @@ void StreamTx::ResumeTx(const ResumeInfo& info) {
     survivors.push_back(rec);
   }
   sent_log_ = std::move(survivors);
-  ctx_.metrics->retransmitted_bytes->Add(retransmit);
+  ctx_.metrics->retransmitted_bytes.Add(retransmit);
 
   // A SHUTDOWN the receiver never consumed died with the transport; Pump
   // re-sends it behind the retransmitted data.

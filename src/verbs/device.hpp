@@ -101,6 +101,15 @@ class Device {
     mr_registrations_counter_ = registrations;
     mr_cache_hits_counter_ = cache_hits;
   }
+  /// Stop mirroring into whichever of these counters is still the mirror;
+  /// their owner calls this before it dies.
+  void DetachMrInstruments(const metrics::Counter* registrations,
+                           const metrics::Counter* cache_hits) {
+    if (mr_registrations_counter_ == registrations) {
+      mr_registrations_counter_ = nullptr;
+    }
+    if (mr_cache_hits_counter_ == cache_hits) mr_cache_hits_counter_ = nullptr;
+  }
 
   /// Key lookups used by the data path; null when unknown or invalidated.
   const MemoryRegion* FindByLkey(std::uint32_t lkey) const;

@@ -4,13 +4,21 @@
 // EXS_LOG lines, which rides on the same SimClock interface.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/json.hpp"
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
+#include "common/rng.hpp"
 #include "common/sim_clock.hpp"
 #include "common/units.hpp"
 
@@ -247,6 +255,116 @@ TEST(Registry, CsvHasHeaderAndOneRowPerScalar) {
   EXPECT_EQ(lines[0], "name,kind,unit,field,value");
   EXPECT_EQ(lines[1], "c,counter,ops,value,1");
   EXPECT_EQ(lines[2], "g,gauge,,value,1");
+}
+
+// Names sharing prefixes, so lookups must compare whole names in byte
+// order ("rail1.x" < "rail10.x", "tx" < "tx." < "tx.a").
+constexpr std::string_view kPoolNames[] = {
+    "rail1.x", "rail10.x", "rail1.y", "rail1", "rail10", "tx.", "tx.a",
+    "tx",      "tx.a.b",   "a",       "",      "rx.z",   "rail2.x"};
+constexpr std::string_view kPoolUnits[] = {"", "ps", "bytes"};
+
+/// Runs one seed of random Get/Bind steps on one kind of `Registry`,
+/// checking the registry against a std::map model after every step.
+template <typename T, typename GetFn, typename TableFn>
+void DiffAgainstMap(std::uint64_t seed, GetFn get, TableFn table) {
+  struct Expected {
+    std::string unit;
+    const T* instrument = nullptr;
+  };
+  std::map<std::string, Expected> model;
+  std::vector<std::unique_ptr<T>> bound;  // owners of bound instruments
+  Registry reg;
+  Rng rng(seed);
+  for (int step = 0; step < 60; ++step) {
+    const std::string_view name =
+        kPoolNames[rng.NextBelow(std::size(kPoolNames))];
+    const std::string_view unit =
+        kPoolUnits[rng.NextBelow(std::size(kPoolUnits))];
+    auto known = model.find(std::string(name));
+    if (rng.NextBool()) {
+      T& got = get(reg, name, unit);
+      if (known == model.end()) {
+        model.emplace(name, Expected{std::string(unit), &got});
+      } else {
+        EXPECT_EQ(&got, known->second.instrument)
+            << "seed " << seed << ": a repeated Get of '" << name
+            << "' returned another instrument";
+      }
+    } else if (known == model.end()) {
+      bound.push_back(std::make_unique<T>());
+      reg.Bind(name, unit, *bound.back());
+      model.emplace(name, Expected{std::string(unit), bound.back().get()});
+      EXPECT_EQ(&get(reg, name, "other"), bound.back().get())
+          << "seed " << seed << ": Get of bound '" << name
+          << "' did not return the bound instrument";
+    } else {
+      T spare;
+      EXPECT_THROW(reg.Bind(name, unit, spare), InvariantViolation)
+          << "seed " << seed << ": '" << name << "' bound twice";
+    }
+
+    const auto& t = table(reg);
+    ASSERT_EQ(t.size(), model.size()) << "seed " << seed << " step " << step;
+    auto expected = model.begin();
+    for (const auto& [entry_name, named] : t) {
+      EXPECT_EQ(entry_name, expected->first)
+          << "seed " << seed << " step " << step << ": iteration order";
+      EXPECT_EQ(named.unit, expected->second.unit)
+          << "seed " << seed << ": unit of '" << entry_name << "'";
+      EXPECT_EQ(named.instrument, expected->second.instrument)
+          << "seed " << seed << ": instrument of '" << entry_name << "'";
+      ++expected;
+    }
+    for (std::string_view probe : kPoolNames) {
+      auto in_model = model.find(std::string(probe));
+      const bool present = in_model != model.end();
+      EXPECT_EQ(t.count(probe), present ? 1u : 0u)
+          << "seed " << seed << ": count('" << probe << "')";
+      auto it = t.find(probe);
+      if (!present) {
+        EXPECT_TRUE(it == t.end())
+            << "seed " << seed << ": find('" << probe << "') hit";
+        EXPECT_THROW(t.at(probe), std::out_of_range)
+            << "seed " << seed << ": at('" << probe << "')";
+        continue;
+      }
+      ASSERT_TRUE(it != t.end())
+          << "seed " << seed << ": find('" << probe << "') missed";
+      EXPECT_EQ(it->first, probe) << "seed " << seed;
+      EXPECT_EQ(it->second.instrument, in_model->second.instrument)
+          << "seed " << seed << ": find('" << probe << "')";
+      EXPECT_EQ(t.at(probe).instrument, in_model->second.instrument)
+          << "seed " << seed << ": at('" << probe << "')";
+    }
+  }
+}
+
+TEST(Registry, MatchesMapModelUnderRandomGetAndBind) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    DiffAgainstMap<Counter>(
+        seed,
+        [](Registry& r, std::string_view n, std::string_view u) -> Counter& {
+          return r.GetCounter(n, u);
+        },
+        [](const Registry& r) -> const auto& { return r.counters(); });
+    DiffAgainstMap<Gauge>(
+        seed,
+        [](Registry& r, std::string_view n, std::string_view u) -> Gauge& {
+          return r.GetGauge(n, u);
+        },
+        [](const Registry& r) -> const auto& { return r.gauges(); });
+    DiffAgainstMap<Histogram>(
+        seed,
+        [](Registry& r, std::string_view n, std::string_view u)
+            -> Histogram& { return r.GetHistogram(n, u); },
+        [](const Registry& r) -> const auto& { return r.histograms(); });
+    DiffAgainstMap<TimeWeightedSeries>(
+        seed,
+        [](Registry& r, std::string_view n, std::string_view u)
+            -> TimeWeightedSeries& { return r.GetSeries(n, u); },
+        [](const Registry& r) -> const auto& { return r.series(); });
+  }
 }
 
 class FixedClock : public SimClock {

@@ -8,7 +8,9 @@
 // or coalescing decisions moves the fingerprint.  Each config also pins
 // the shape of every work request the pair posted (its "_wrs" entry):
 // WR and doorbell counts, gather-list entries and wire bytes, which a
-// trace fingerprint only sees through timing.
+// trace fingerprint only sees through timing.  Its "_metrics" entry hashes
+// the end-of-run Simulation::MetricsJson() snapshot, pinning every socket
+// instrument's name, unit, order and value.
 //
 // Each config also runs twice in-process and must fingerprint identically
 // — the determinism witness that makes the corpus meaningful.
@@ -76,18 +78,32 @@ constexpr GoldenConfig kConfigs[] = {
 
 struct Fingerprints {
   std::uint64_t trace = 0;
-  std::uint64_t wrs = 0;  ///< work-request shape
+  std::uint64_t wrs = 0;      ///< work-request shape
+  std::uint64_t metrics = 0;  ///< MetricsJson() snapshot bytes
   bool operator==(const Fingerprints&) const = default;
 };
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+
+/// FNV-1a over the bytes of `text`.
+std::uint64_t TextFingerprint(const std::string& text) {
+  std::uint64_t h = kFnvOffset;
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= kFnvPrime;
+  }
+  return h;
+}
 
 /// FNV-1a fold of the send-side work-request shape of `channels`, in order.
 std::uint64_t WrShapeFingerprint(
     const std::vector<const ControlChannel*>& channels) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::uint64_t h = kFnvOffset;
   auto fold = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
       h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ull;
+      h *= kFnvPrime;
     }
   };
   for (const ControlChannel* ch : channels) {
@@ -244,7 +260,7 @@ Fingerprints RunGoldenWorkload(const GoldenConfig& cfg) {
     }
   }
   return {ConnectionFingerprint(*client, *server),
-          WrShapeFingerprint(channels)};
+          WrShapeFingerprint(channels), TextFingerprint(sim.MetricsJson())};
 }
 
 std::string Hex(std::uint64_t v) {
@@ -283,6 +299,7 @@ TEST(StreamGoldenTest, FingerprintsMatchCorpus) {
         << "trusting any golden value";
     actual[cfg.name] = Hex(first.trace);
     actual[std::string(cfg.name) + "_wrs"] = Hex(first.wrs);
+    actual[std::string(cfg.name) + "_metrics"] = Hex(first.metrics);
   }
 
   if (update) {

@@ -274,6 +274,22 @@ TEST_F(StreamStripingTest, RailInstrumentsMatchProvisioning) {
   EXPECT_EQ(striped_counters.count("rail1.sends_posted"), 1u);
   EXPECT_EQ(classic_counters.count("rail0.sends_posted"), 1u);
   EXPECT_EQ(classic_counters.count("rail1.sends_posted"), 0u);
+
+  // At the rail limit every name carries its full rail number.
+  StreamOptions widest = Railed(kMaxRails);
+  widest.intermediate_buffer_bytes = 64 * kKiB;
+  auto [wide, wide_peer] =
+      sim_.CreateConnectedPair(SocketType::kStream, widest);
+  (void)wide_peer;
+  const metrics::Registry& r = wide->metrics_registry();
+  EXPECT_EQ(r.counters().count("rail10.sends_posted"), 1u);
+  EXPECT_EQ(r.counters().count("rail15.wire_bytes_sent"), 1u);
+  EXPECT_EQ(r.counters().count("rail16.sends_posted"), 0u);
+  EXPECT_EQ(r.histograms().count("rail15.hol_wait"), 1u);
+  EXPECT_EQ(r.series().count("rail12.inflight_wrs"), 1u);
+  EXPECT_EQ(r.series().at("rail15.inflight_wrs").unit, "wrs");
+  EXPECT_EQ(r.counters().size(),
+            classic_counters.size() + 5 * (kMaxRails - 1));
 }
 
 // SOCK_SEQPACKET and read-rendezvous sockets clamp to a single rail — a
