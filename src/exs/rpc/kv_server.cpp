@@ -94,22 +94,21 @@ KvServer::DeviceMemory& KvServer::MemoryOn(verbs::Device& device) {
   }
   auto& m = *memory_.emplace_back(std::make_unique<DeviceMemory>(device));
   if (slab_.arena_bytes() != 0) {
-    m.slab_mr = device.RegisterMemory(slab_.Data(0), slab_.arena_bytes(),
-                                      verbs::MrScope::kApplication);
+    m.slab_mr = device.RegisterMemory(slab_.Data(0), slab_.arena_bytes());
   }
   return m;
 }
 
-std::uint8_t* KvServer::TakeHeader(DeviceMemory& memory) {
+KvServer::Header KvServer::TakeHeader(DeviceMemory& memory) {
   if (memory.free_headers.empty()) {
     const verbs::RegisteredBuffer& chunk = memory.header_chunks.emplace_back(
-        *memory.device, kHeadersPerChunk * kHeaderBytes,
-        verbs::MrScope::kApplication);
+        *memory.device, kHeadersPerChunk * kHeaderBytes);
     for (std::size_t i = kHeadersPerChunk; i-- > 0;) {
-      memory.free_headers.push_back(chunk.data() + i * kHeaderBytes);
+      memory.free_headers.push_back(
+          Header{chunk.data() + i * kHeaderBytes, &chunk.region()});
     }
   }
-  std::uint8_t* header = memory.free_headers.back();
+  const Header header = memory.free_headers.back();
   memory.free_headers.pop_back();
   return header;
 }
@@ -119,8 +118,8 @@ void KvServer::OnAccept(Socket& socket) {
   Conn* raw = conn.get();
   raw->socket = &socket;
   raw->memory = &MemoryOn(socket.device());
-  raw->recv_buffer = verbs::RegisteredBuffer(
-      socket.device(), options_.recv_chunk_bytes, verbs::MrScope::kApplication);
+  raw->recv_buffer =
+      verbs::RegisteredBuffer(socket.device(), options_.recv_chunk_bytes);
   raw->decoder = std::make_unique<FrameDecoder>(
       [this, raw](const MessageView& v) { OnRequest(*raw, v); },
       [this](const std::string&) { ++stats_.framing_errors; });
@@ -258,20 +257,21 @@ void KvServer::Respond(Conn& conn, std::uint64_t correlation_id, Status status,
 
   SendingResponse send;
   send.header = TakeHeader(*conn.memory);
-  EncodeHeader(h, send.header);
+  EncodeHeader(h, send.header.bytes);
   if (value_slot >= 0) {
     // Gather header + slab slot in one Sendv: no host copy of the value,
     // one completion.  The slot stays pinned until that completion.
     slab_.Pin(value_slot);
     send.pinned_slot = value_slot;
     Socket::IoSlice iov[2] = {
-        {send.header, kHeaderBytes},
-        {slab_.Data(value_slot), h.value_len},
+        {send.header.bytes, kHeaderBytes, send.header.region},
+        {slab_.Data(value_slot), h.value_len, conn.memory->slab_mr.get()},
     };
     ++stats_.sendv_responses;
     send.send_id = conn.socket->Sendv(iov, h.value_len != 0 ? 2u : 1u);
   } else {
-    send.send_id = conn.socket->Send(send.header, kHeaderBytes);
+    send.send_id = conn.socket->Send(send.header.bytes, kHeaderBytes,
+                                     *send.header.region);
   }
   conn.sends.push_back(send);
 }
@@ -279,7 +279,8 @@ void KvServer::Respond(Conn& conn, std::uint64_t correlation_id, Status status,
 void KvServer::PostRecv(Conn& conn) {
   if (conn.recv_outstanding || conn.peer_closed || conn.closed) return;
   conn.recv_outstanding = true;
-  conn.socket->Recv(conn.recv_buffer.data(), conn.recv_buffer.size());
+  conn.socket->Recv(conn.recv_buffer.data(), conn.recv_buffer.size(),
+                    conn.recv_buffer.region());
 }
 
 void KvServer::MaybeReap(Socket& socket, Conn& conn) {

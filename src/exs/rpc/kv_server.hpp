@@ -22,8 +22,11 @@
 // response headers are written into registered chunks of a per-device
 // header pool, each header back in the pool at its own send completion.
 // A response in steady state neither allocates nor registers a send
-// buffer.  The server owns that registered memory, so it must be
-// destroyed before the Simulation that owns the devices.
+// buffer.  Every Send, Sendv slice and Recv passes the region of the
+// memory it names (header chunk, slab, receive buffer) as its handle, so
+// none searches the device's address index.  The server owns that
+// registered memory, so it must be destroyed before the Simulation that
+// owns the devices.
 //
 // The server is transport-agnostic: Attach() owns a socket's event
 // queue directly (handler mode, muxed or dedicated pairs), while
@@ -142,6 +145,12 @@ class KvServer {
   static constexpr std::size_t kHeadersPerChunk = 256;
 
  private:
+  /// A pooled response header: its bytes and the region of the chunk
+  /// that holds them.
+  struct Header {
+    std::uint8_t* bytes = nullptr;
+    const verbs::MemoryRegion* region = nullptr;
+  };
   /// What the server registered on one device: the value slab, once, and
   /// the response header pool.
   struct DeviceMemory {
@@ -155,13 +164,13 @@ class KvServer {
     verbs::Device* device;
     verbs::MemoryRegionPtr slab_mr;
     std::vector<verbs::RegisteredBuffer> header_chunks;
-    std::vector<std::uint8_t*> free_headers;
+    std::vector<Header> free_headers;
   };
   /// A response whose send has not completed: the pooled header it reads
   /// and the slab slot it pins (-1 when none).
   struct SendingResponse {
     std::uint64_t send_id = 0;
-    std::uint8_t* header = nullptr;
+    Header header;
     std::int32_t pinned_slot = -1;
   };
   struct Conn {
@@ -185,7 +194,7 @@ class KvServer {
   void MaybeReap(Socket& socket, Conn& conn);
   /// This device's registrations, made on first use.
   DeviceMemory& MemoryOn(verbs::Device& device);
-  std::uint8_t* TakeHeader(DeviceMemory& memory);
+  Header TakeHeader(DeviceMemory& memory);
 
   KvServerOptions options_;
   Stats stats_;

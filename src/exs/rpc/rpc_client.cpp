@@ -11,8 +11,7 @@ RpcClient::RpcClient(Socket& socket, simnet::EventScheduler& scheduler,
       options_(options),
       decoder_([this](const MessageView& v) { OnMessage(v); },
                [this](const std::string&) { framing_failed_ = true; }),
-      recv_buffer_(socket.device(), options.recv_chunk_bytes,
-                   verbs::MrScope::kApplication) {
+      recv_buffer_(socket.device(), options.recv_chunk_bytes) {
   socket_->events().SetHandler([this](const Event& ev) { OnEvent(ev); });
   PostRecv();
 }
@@ -45,7 +44,8 @@ std::uint64_t RpcClient::Call(Op op, const std::string& key,
   call.issued_at = scheduler_->Now();
   call.on_done = std::move(on_done);
   pending_.emplace(id, std::move(call));
-  const std::uint64_t send_id = socket_->Send(frame.data(), len);
+  const std::uint64_t send_id =
+      socket_->Send(frame.data(), len, frame.region());
   sending_frames_.push_back(SendingFrame{send_id, std::move(frame)});
   if (deadline > 0) {
     scheduler_->ScheduleAfter(deadline, [this, id] { OnDeadline(id); });
@@ -152,7 +152,8 @@ void RpcClient::Resolve(std::uint64_t correlation_id, Outcome outcome,
 void RpcClient::PostRecv() {
   if (recv_outstanding_ || peer_closed_) return;
   recv_outstanding_ = true;
-  socket_->Recv(recv_buffer_.data(), recv_buffer_.size());
+  socket_->Recv(recv_buffer_.data(), recv_buffer_.size(),
+                recv_buffer_.region());
 }
 
 verbs::RegisteredBuffer RpcClient::TakeFrame(std::size_t len) {
@@ -164,8 +165,7 @@ verbs::RegisteredBuffer RpcClient::TakeFrame(std::size_t len) {
     return frame;
   }
   return verbs::RegisteredBuffer(socket_->device(),
-                                 std::max(kMinFrameBytes, len),
-                                 verbs::MrScope::kApplication);
+                                 std::max(kMinFrameBytes, len));
 }
 
 }  // namespace exs::rpc

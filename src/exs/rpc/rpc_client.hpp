@@ -14,10 +14,11 @@
 // may arrive out of order), so a Call in steady state neither allocates
 // nor registers a send buffer.  Frames are allocated and registered on
 // first use only, so their memory tracks this client's peak in-flight
-// sends.  The conservation rule (see ledger.hpp) is enforced at the
-// single resolution point: whichever of {response, deadline, explicit
-// cancel, local shed} reaches the call first records its outcome;
-// everything after is counted stale.
+// sends.  Every Send and Recv passes its buffer's region as the handle,
+// so no call searches the device's address index.  The conservation rule
+// (see ledger.hpp) is enforced at the single resolution point: whichever
+// of {response, deadline, explicit cancel, local shed} reaches the call
+// first records its outcome; everything after is counted stale.
 //
 // The client owns registered memory (its frames and receive buffer), so
 // it must be destroyed before the Simulation that owns its device.

@@ -358,11 +358,34 @@ const verbs::MemoryRegion* Socket::FindOrRegister(const void* addr,
   return RegisterMemory(const_cast<void*>(addr), len).get();
 }
 
+void Socket::CheckHandle(const verbs::MemoryRegion& mr, const void* buf,
+                         std::uint64_t len) const {
+  EXS_CHECK_MSG(device_->FindByLkey(mr.lkey()) == &mr,
+                "memory handle is not a live registration of this device");
+  EXS_CHECK_MSG(mr.Covers(reinterpret_cast<std::uint64_t>(buf), len),
+                "memory handle does not cover the buffer");
+}
+
 std::uint64_t Socket::Send(const void* buf, std::uint64_t len,
                            SendFlags /*flags*/) {
   EXS_CHECK_MSG(connected_, "Send on unconnected socket");
-  std::uint64_t id = next_request_id_++;
-  const verbs::MemoryRegion* mr = len > 0 ? FindOrRegister(buf, len) : nullptr;
+  const std::uint64_t id = next_request_id_++;
+  SubmitSend(id, buf, len, len > 0 ? FindOrRegister(buf, len) : nullptr);
+  return id;
+}
+
+std::uint64_t Socket::Send(const void* buf, std::uint64_t len,
+                           const verbs::MemoryRegion& mr,
+                           SendFlags /*flags*/) {
+  EXS_CHECK_MSG(connected_, "Send on unconnected socket");
+  const std::uint64_t id = next_request_id_++;
+  CheckHandle(mr, buf, len);
+  SubmitSend(id, buf, len, &mr);
+  return id;
+}
+
+void Socket::SubmitSend(std::uint64_t id, const void* buf, std::uint64_t len,
+                        const verbs::MemoryRegion* mr) {
   if (tx_) {
     tx_->Submit(id, buf, len, mr ? mr->lkey() : 0);
   } else if (rendezvous_tx_) {
@@ -371,7 +394,6 @@ std::uint64_t Socket::Send(const void* buf, std::uint64_t len,
   } else {
     packet_tx_->Submit(id, buf, len, mr ? mr->lkey() : 0);
   }
-  return id;
 }
 
 std::uint64_t Socket::Sendv(const IoSlice* iov, std::uint32_t n,
@@ -387,19 +409,21 @@ std::uint64_t Socket::Sendv(const IoSlice* iov, std::uint32_t n,
   for (std::uint32_t i = 0; i < n; ++i) {
     EXS_CHECK_MSG(iov[i].len <= std::numeric_limits<std::uint32_t>::max(),
                   "Sendv slice exceeds one gather element");
-    std::uint32_t lkey = 0;
-    if (iov[i].len > 0) {
+    const verbs::MemoryRegion* mr = iov[i].mr;
+    if (mr != nullptr) {
+      CheckHandle(*mr, iov[i].addr, iov[i].len);
+    } else if (iov[i].len > 0) {
       if (device_->mr_cache_enabled()) {
-        auto mr = device_->RegisterMemoryCached(
-            const_cast<void*>(iov[i].addr), iov[i].len);
-        lkey = mr->lkey();
-        pins.push_back(std::move(mr));
+        pins.push_back(device_->RegisterMemoryCached(
+            const_cast<void*>(iov[i].addr), iov[i].len));
+        mr = pins.back().get();
       } else {
-        lkey = FindOrRegister(iov[i].addr, iov[i].len)->lkey();
+        mr = FindOrRegister(iov[i].addr, iov[i].len);
       }
     }
     sges[i] = verbs::Sge{reinterpret_cast<std::uint64_t>(iov[i].addr),
-                         static_cast<std::uint32_t>(iov[i].len), lkey};
+                         static_cast<std::uint32_t>(iov[i].len),
+                         mr ? mr->lkey() : 0};
   }
   tx_->SubmitV(id, {sges, n}, std::move(pins));
   return id;
@@ -407,17 +431,30 @@ std::uint64_t Socket::Sendv(const IoSlice* iov, std::uint32_t n,
 
 std::uint64_t Socket::Recv(void* buf, std::uint64_t len, RecvFlags flags) {
   EXS_CHECK_MSG(connected_, "Recv on unconnected socket");
-  std::uint64_t id = next_request_id_++;
-  const verbs::MemoryRegion* mr = FindOrRegister(buf, len);
+  const std::uint64_t id = next_request_id_++;
+  SubmitRecv(id, buf, len, *FindOrRegister(buf, len), flags);
+  return id;
+}
+
+std::uint64_t Socket::Recv(void* buf, std::uint64_t len,
+                           const verbs::MemoryRegion& mr, RecvFlags flags) {
+  EXS_CHECK_MSG(connected_, "Recv on unconnected socket");
+  const std::uint64_t id = next_request_id_++;
+  CheckHandle(mr, buf, len);
+  SubmitRecv(id, buf, len, mr, flags);
+  return id;
+}
+
+void Socket::SubmitRecv(std::uint64_t id, void* buf, std::uint64_t len,
+                        const verbs::MemoryRegion& mr, RecvFlags flags) {
   if (rx_) {
-    rx_->Submit(id, buf, len, mr->rkey(), flags.waitall);
+    rx_->Submit(id, buf, len, mr.rkey(), flags.waitall);
   } else if (rendezvous_rx_) {
     // READ responses land locally, so the *local* key is needed.
-    rendezvous_rx_->Submit(id, buf, len, mr->lkey(), flags.waitall);
+    rendezvous_rx_->Submit(id, buf, len, mr.lkey(), flags.waitall);
   } else {
-    packet_rx_->Submit(id, buf, len, mr->rkey());
+    packet_rx_->Submit(id, buf, len, mr.rkey());
   }
-  return id;
 }
 
 void Socket::Close() {

@@ -70,26 +70,40 @@ class Socket : public simnet::TransportKillTarget {
   /// the rail count each side committed to rides in RingCredentials.
   static void ConnectTransport(Socket& a, Socket& b);
 
-  /// Explicitly register I/O memory (exs_mregister()).  Buffers passed to
-  /// Send()/Recv() must be covered by a registration; with
-  /// options.auto_register_memory the library registers them on first use.
-  /// Scope is the device (the protection domain), as with exs_mregister
-  /// and verbs PDs: a region registered through any socket covers every
-  /// socket on the same node, and none on the other.  At each start
-  /// address the first registration is the one lookups see.  The region
-  /// stays registered until Device::DeregisterMemory, which must run
-  /// before its memory is freed or reused; verbs::RegisteredBuffer does
-  /// that for memory it owns.
+  /// Explicitly register I/O memory (exs_mregister()) and return its
+  /// handle, the exs_mhandle_t that the region-taking Send/Sendv/Recv
+  /// forms accept.  Buffers passed to the address forms must be covered by
+  /// a registration; with options.auto_register_memory the library
+  /// registers them on first use.  Scope is the device (the protection
+  /// domain), as with exs_mregister and verbs PDs: a region registered
+  /// through any socket covers every socket on the same node, and none on
+  /// the other.  The region stays registered until
+  /// Device::DeregisterMemory, which must run before its memory is freed
+  /// or reused; verbs::RegisteredBuffer does that for memory it owns.
   verbs::MemoryRegionPtr RegisterMemory(void* addr, std::size_t len);
 
   /// Asynchronous send; returns the request id reported by the completion
-  /// event.  The buffer must stay untouched until then (zero-copy).
+  /// event.  The buffer must stay untouched until then (zero-copy).  This
+  /// address form finds the covering registration in the device's address
+  /// index (or auto-registers the buffer), then submits as the handle form
+  /// does.
   std::uint64_t Send(const void* buf, std::uint64_t len, SendFlags flags = {});
+  /// Handle form (exs_send with an exs_mhandle_t): `mr` is a region that
+  /// RegisterMemory returned or a verbs::RegisteredBuffer's region().  It
+  /// must be a live registration of this socket's device covering
+  /// [buf, buf+len), checked in O(1); no address lookup happens.  This is
+  /// how the RPC tier sends and receives: its pools are internal scope
+  /// (verbs::MrScope::kInternal), so the address index never holds them.
+  std::uint64_t Send(const void* buf, std::uint64_t len,
+                     const verbs::MemoryRegion& mr, SendFlags flags = {});
 
   /// One element of a vectored send (exs_sendv) — the library's iovec.
+  /// `mr`, when set, is the slice's handle, with the same rules as Send's
+  /// handle form; a null `mr` resolves the slice by address.
   struct IoSlice {
     const void* addr = nullptr;
     std::uint64_t len = 0;
+    const verbs::MemoryRegion* mr = nullptr;
   };
 
   /// Vectored asynchronous send (exs_sendv): one logical send — one
@@ -97,16 +111,20 @@ class Socket : public simnet::TransportKillTarget {
   /// verbs::kMaxSge slices by the HCA, with no host-side copy.  Stream
   /// sockets only.  Every slice buffer must stay untouched until the
   /// completion, exactly like Send's.  When the MR registration cache is
-  /// armed (StreamOptions::Batching::mr_cache_entries), slice
-  /// registrations are pinned through the cache and unpinned at
-  /// completion, so repeated sends from the same buffers hit warm
+  /// armed (StreamOptions::Batching::mr_cache_entries), the registrations
+  /// of slices without a handle are pinned through the cache and unpinned
+  /// at completion, so repeated sends from the same buffers hit warm
   /// registrations.
   std::uint64_t Sendv(const IoSlice* iov, std::uint32_t n,
                       SendFlags flags = {});
 
   /// Asynchronous receive; RecvFlags::waitall requests MSG_WAITALL
-  /// semantics (complete only when the buffer is full).
+  /// semantics (complete only when the buffer is full).  The address form
+  /// resolves the buffer's registration as Send's does.
   std::uint64_t Recv(void* buf, std::uint64_t len, RecvFlags flags = {});
+  /// Handle form (exs_recv with an exs_mhandle_t), checked as Send's.
+  std::uint64_t Recv(void* buf, std::uint64_t len,
+                     const verbs::MemoryRegion& mr, RecvFlags flags = {});
 
   /// Orderly close of this socket's *sending* direction (shutdown-write):
   /// queued sends flush first, then the peer observes end-of-stream — its
@@ -239,6 +257,16 @@ class Socket : public simnet::TransportKillTarget {
  private:
   const verbs::MemoryRegion* FindOrRegister(const void* addr,
                                             std::uint64_t len);
+  /// Throw unless `mr` is a live registration of this device covering
+  /// [buf, buf+len).
+  void CheckHandle(const verbs::MemoryRegion& mr, const void* buf,
+                   std::uint64_t len) const;
+  /// The submit code both forms share, once the region is known (null for
+  /// a zero-length send).
+  void SubmitSend(std::uint64_t id, const void* buf, std::uint64_t len,
+                  const verbs::MemoryRegion* mr);
+  void SubmitRecv(std::uint64_t id, void* buf, std::uint64_t len,
+                  const verbs::MemoryRegion& mr, RecvFlags flags);
   StreamContext MakeContext(TraceLog* trace);
   void WireCallbacks();
   void WireRailCallbacks(std::size_t rail);

@@ -121,8 +121,7 @@ void StreamTx::Enqueue(std::uint64_t id, std::span<const verbs::Sge> sges,
     // completion, but retransmission after a kill may need the bytes long
     // after that (the completion fallacy — completion is not delivery).
     // A Sendv's slices are gathered host-side into the one snapshot.
-    rec->owned = verbs::RegisteredBuffer(ctx_.channel->device(), len,
-                                         verbs::MrScope::kInternal);
+    rec->owned = verbs::RegisteredBuffer(ctx_.channel->device(), len);
     std::uint64_t off = 0;
     for (const verbs::Sge& sge : sges) {
       if (ctx_.carry_payload && sge.length > 0) {
@@ -188,8 +187,7 @@ void StreamTx::StageCoalesced(std::uint64_t id, const void* buf,
     // must stay put until the merged WWI completes), so staging restarts
     // with a fresh registered region.
     staging_ = verbs::RegisteredBuffer(ctx_.channel->device(),
-                                       knobs.max_bytes,
-                                       verbs::MrScope::kInternal);
+                                       knobs.max_bytes);
   }
   if (ctx_.carry_payload) {
     std::memcpy(staging_.data() + staged_bytes_, buf, len);

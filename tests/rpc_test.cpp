@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -763,6 +764,118 @@ TEST(RpcKv, TeardownWithCallsInFlightIsClean) {
   EXPECT_GT(f->client->frames_sending(), 0u);
   EXPECT_GT(f->client->pending_calls(), 0u);
   f.reset();
+}
+
+// ---- handle-addressed I/O --------------------------------------------------
+
+// The RPC tier sends and receives only through the regions of its own
+// frames, headers, receive buffers and slab, none of which the address
+// index holds.  With auto-registration off on both sides, any address-form
+// Send, Sendv or Recv left in the client or the server would throw.
+constexpr int kHandleOnlyCalls = 2000;
+
+/// Issue `calls` mixed PUT/GET/DEL calls round-robin over `clients`, each
+/// client on its own keys, running the simulation every 8 calls.  Every
+/// GET answer is checked byte-exact against the client's last PUT of that
+/// key.  Returns the number of answered calls.
+int DriveMixedCalls(Simulation& sim, const std::vector<RpcClient*>& clients,
+                    int calls) {
+  constexpr std::uint32_t kSizes[] = {16, 130, 300, 480};
+  std::vector<std::map<std::string, std::vector<std::uint8_t>>> stored(
+      clients.size());
+  int answered = 0;
+  auto count = [&answered](const RpcClient::Result& r) {
+    if (r.outcome == Outcome::kAnswered) ++answered;
+  };
+  for (int i = 0; i < calls; ++i) {
+    const std::size_t c = static_cast<std::size_t>(i) % clients.size();
+    const int round = i / static_cast<int>(clients.size());
+    std::string key = "c";
+    key += std::to_string(c);
+    key += '-';
+    key += std::to_string(round / 3 % 24);  // hits and misses both
+    switch (round % 4) {
+      case 0:
+      case 2: {
+        const std::uint32_t len = kSizes[(round / 4) % 4];
+        std::vector<std::uint8_t> value(len);
+        loadgen::WorkloadGenerator::FillValue(key, value.data(), len);
+        clients[c]->Call(Op::kPut, key, value.data(), len, count);
+        stored[c][key] = std::move(value);
+        break;
+      }
+      case 1: {
+        auto it = stored[c].find(key);
+        const bool hit = it != stored[c].end();
+        std::vector<std::uint8_t> expect = hit ? it->second
+                                               : std::vector<std::uint8_t>{};
+        clients[c]->Call(Op::kGet, key, nullptr, 0,
+                         [count, hit, expect](const RpcClient::Result& r) {
+                           count(r);
+                           EXPECT_EQ(r.status,
+                                     hit ? Status::kOk : Status::kNotFound);
+                           EXPECT_EQ(r.value, expect);
+                         });
+        break;
+      }
+      default:
+        clients[c]->Call(Op::kDel, key, nullptr, 0, count);
+        stored[c].erase(key);
+        break;
+    }
+    if (i % 8 == 7) sim.Run();
+  }
+  sim.Run();
+  return answered;
+}
+
+TEST(RpcKv, ClassicPairNeedsNoAddressLookups) {
+  StreamOptions stream;
+  stream.auto_register_memory = false;
+  Fixture f({}, {}, stream);
+  EXPECT_EQ(DriveMixedCalls(f.sim, {&*f.client}, kHandleOnlyCalls),
+            kHandleOnlyCalls);
+  EXPECT_EQ(f.client->frames_sending(), 0u);
+  EXPECT_EQ(f.server.headers_free(), f.server.headers_registered());
+  EXPECT_GT(f.server.stats().sendv_responses, 0u);
+  EXPECT_GT(f.server.stats().misses, 0u);
+  InvariantReport report = f.Check();
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  report = CheckConnection(*f.client_sock, *f.server_sock);
+  EXPECT_TRUE(report.ok()) << report.Summary();
+}
+
+TEST(RpcKv, MuxedPairNeedsNoAddressLookups) {
+  Simulation sim(simnet::HardwareProfile::FdrInfiniBand(), /*seed=*/13);
+  MuxOptions mopts;
+  mopts.width = 2;
+  MuxGroup g0(sim.device(0), mopts);
+  MuxGroup g1(sim.device(1), mopts);
+  MuxGroup::Connect(g0, g1);
+  StreamOptions opts;
+  opts.credits = 8;
+  opts.intermediate_buffer_bytes = 2 * kKiB;
+  opts.max_wwi_chunk = 2 * kKiB;
+  opts.auto_register_memory = false;
+
+  KvServer server;
+  std::vector<std::unique_ptr<RpcClient>> clients;
+  std::vector<RpcClient*> raw;
+  std::vector<const RpcLedger*> ledgers;
+  for (int c = 0; c < 4; ++c) {
+    auto [a, b] = sim.CreateMuxedPair(g0, g1, opts);
+    server.Attach(*b);
+    clients.push_back(std::make_unique<RpcClient>(*a, sim.scheduler()));
+    raw.push_back(clients.back().get());
+    ledgers.push_back(&clients.back()->ledger());
+  }
+  EXPECT_EQ(DriveMixedCalls(sim, raw, kHandleOnlyCalls), kHandleOnlyCalls);
+  EXPECT_EQ(server.headers_free(), server.headers_registered());
+  EXPECT_GT(server.stats().sendv_responses, 0u);
+  InvariantReport report = CheckRpcConservation(ledgers, &server.counters());
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  report = CheckMuxGroupPair(g0, g1);
+  EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
 // ---- conviction: the checker catches forged books -----------------------
