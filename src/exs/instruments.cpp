@@ -38,8 +38,6 @@ constexpr Binding<SocketInstruments> kSocketSchema[] = {
     {"channel.send_credits", "credits", &SocketInstruments::send_credits},
     {"doorbell.batches", "doorbells", &SocketInstruments::doorbell_batches},
     {"doorbell.wrs_batched", "wrs", &SocketInstruments::doorbell_wrs},
-    {"mr.cache_hits", "pins", &SocketInstruments::mr_cache_hits},
-    {"mr.registrations", "regions", &SocketInstruments::mr_registrations},
     {"recovery.resume_latency", "ps", &SocketInstruments::resume_latency},
     {"recovery.resumes", "resumes", &SocketInstruments::resumes},
     {"recovery.retransmitted_bytes", "bytes",

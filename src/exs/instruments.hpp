@@ -63,10 +63,6 @@ struct SocketInstruments {
   metrics::Counter doorbell_batches;
   metrics::Counter doorbell_wrs;
   metrics::Counter sendv_calls;
-  // MR registration traffic on the socket's device (mirrored from
-  // verbs::Device counters: actual registrations vs cache-served pins).
-  metrics::Counter mr_registrations;
-  metrics::Counter mr_cache_hits;
 
   // Receiver half (this socket's incoming stream).
   metrics::Counter recvs_completed;

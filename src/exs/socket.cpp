@@ -102,16 +102,6 @@ Socket::Socket(verbs::Device& device, SocketType type, StreamOptions options,
       rail->SetCqDispatchBatch(options_.batching.cq_drain);
     }
   }
-  if (options_.batching.mr_cache_entries > 0) {
-    // Arm the device-level LRU registration cache plus the registration
-    // cost model, and mirror the device's traffic into this socket's
-    // mr.* instruments.
-    device.EnableMrCache(options_.batching.mr_cache_entries);
-    device.EnableMrCostModel();
-    device.SetMrInstruments(&inst_.mr_registrations, &inst_.mr_cache_hits);
-    mr_mirror_.device = &device;
-    mr_mirror_.inst = &inst_;
-  }
   events_ = std::make_unique<EventQueue>(device.node().cpu(),
                                          device.profile().per_event_cpu);
   if (type_ == SocketType::kStream &&
@@ -403,9 +393,7 @@ std::uint64_t Socket::Sendv(const IoSlice* iov, std::uint32_t n,
   EXS_CHECK_MSG(n >= 1 && n <= verbs::kMaxSge,
                 "Sendv arity must be 1.." << verbs::kMaxSge << ", got " << n);
   std::uint64_t id = next_request_id_++;
-  inst_.sendv_calls.Increment();
   verbs::Sge sges[verbs::kMaxSge];
-  std::vector<verbs::MemoryRegionPtr> pins;
   for (std::uint32_t i = 0; i < n; ++i) {
     EXS_CHECK_MSG(iov[i].len <= std::numeric_limits<std::uint32_t>::max(),
                   "Sendv slice exceeds one gather element");
@@ -413,19 +401,14 @@ std::uint64_t Socket::Sendv(const IoSlice* iov, std::uint32_t n,
     if (mr != nullptr) {
       CheckHandle(*mr, iov[i].addr, iov[i].len);
     } else if (iov[i].len > 0) {
-      if (device_->mr_cache_enabled()) {
-        pins.push_back(device_->RegisterMemoryCached(
-            const_cast<void*>(iov[i].addr), iov[i].len));
-        mr = pins.back().get();
-      } else {
-        mr = FindOrRegister(iov[i].addr, iov[i].len);
-      }
+      mr = FindOrRegister(iov[i].addr, iov[i].len);
     }
     sges[i] = verbs::Sge{reinterpret_cast<std::uint64_t>(iov[i].addr),
                          static_cast<std::uint32_t>(iov[i].len),
                          mr ? mr->lkey() : 0};
   }
-  tx_->SubmitV(id, {sges, n}, std::move(pins));
+  inst_.sendv_calls.Increment();
+  tx_->SubmitV(id, {sges, n});
   return id;
 }
 
@@ -496,10 +479,7 @@ StreamStats Socket::stats() const {
   s.doorbell_batches = inst_.doorbell_batches.value();
   s.batched_wrs = inst_.doorbell_wrs.value();
   s.sendv_calls = inst_.sendv_calls.value();
-  // Device-level truth (the registry mirrors only arm with the cache):
-  // actual registrations and cache-served pins on this socket's device.
-  s.mr_registrations = device_->mr_cache_stats().registrations;
-  s.mr_cache_hits = device_->mr_cache_stats().cache_hits;
+  s.mr_registrations = device_->RegionsRegistered();
   s.adverts_sent = inst_.adverts_sent.value();
   s.acks_sent = inst_.acks_sent.value();
   s.acks_piggybacked = inst_.acks_piggybacked.value();

@@ -110,11 +110,9 @@ class Socket : public simnet::TransportKillTarget {
   /// request id, one completion — whose payload is gathered from up to
   /// verbs::kMaxSge slices by the HCA, with no host-side copy.  Stream
   /// sockets only.  Every slice buffer must stay untouched until the
-  /// completion, exactly like Send's.  When the MR registration cache is
-  /// armed (StreamOptions::Batching::mr_cache_entries), the registrations
-  /// of slices without a handle are pinned through the cache and unpinned
-  /// at completion, so repeated sends from the same buffers hit warm
-  /// registrations.
+  /// completion, exactly like Send's.  A slice without a handle resolves
+  /// as Send's address form does (the device's address index, else
+  /// auto-registration).
   std::uint64_t Sendv(const IoSlice* iov, std::uint32_t n,
                       SendFlags flags = {});
 
@@ -292,20 +290,6 @@ class Socket : public simnet::TransportKillTarget {
   /// One per provisioned rail, index = rail; sized once at construction
   /// (none on a muxed socket), so bound instruments never move.
   std::unique_ptr<RailInstruments[]> rail_inst_;
-  /// The device's mr.* mirror is its only pointer into a socket, and the
-  /// device outlives the socket (a rejected connect discards its socket at
-  /// once).  This takes the mirror back when the socket dies, also when a
-  /// constructor check throws after the mirror was armed.
-  struct MrMirrorRelease {
-    verbs::Device* device = nullptr;  ///< null until the mirror is armed
-    SocketInstruments* inst = nullptr;
-    ~MrMirrorRelease() {
-      if (device != nullptr) {
-        device->DetachMrInstruments(&inst->mr_registrations,
-                                    &inst->mr_cache_hits);
-      }
-    }
-  } mr_mirror_;
   std::uint64_t span_tx_endpoint_ = 0;
   std::uint64_t span_rx_endpoint_ = 0;
   std::unique_ptr<ControlChannel> channel_;  ///< null on muxed sockets

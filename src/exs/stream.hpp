@@ -171,10 +171,7 @@ class StreamTx {
   /// buffers must stay valid until the send completes, exactly like
   /// Submit's.  With recovery on, the slices are snapshotted into an owned
   /// contiguous log record instead (retransmission needs the bytes anyway).
-  /// `pins` are registration-cache pins covering the slices; they are
-  /// released (Device::UnpinCached) when the send completes.
-  void SubmitV(std::uint64_t id, std::span<const verbs::Sge> sges,
-               std::vector<verbs::MemoryRegionPtr> pins = {});
+  void SubmitV(std::uint64_t id, std::span<const verbs::Sge> sges);
 
   void OnAdvert(const wire::ControlMessage& msg);
   /// `delivered` is the receiver's delivered-byte frontier piggybacked on
@@ -288,9 +285,6 @@ class StreamTx {
     /// in submission order once every chunk of the aggregate has
     /// transferred.
     std::vector<StagedSend> members;
-    /// Registration-cache pins taken for this record's slices, dropped
-    /// (verbs::Device::UnpinCached) when the send completes.
-    std::vector<verbs::MemoryRegionPtr> pinned;
 
     /// Describe the payload as `owned`.
     void UseOwned() {
@@ -345,7 +339,7 @@ class StreamTx {
   /// only), and otherwise flushes staged bytes ahead of it, snapshots the
   /// payload under recovery, and queues the record.
   void Enqueue(std::uint64_t id, std::span<const verbs::Sge> sges,
-               bool may_stage, std::vector<verbs::MemoryRegionPtr> pins);
+               bool may_stage);
   /// Coalescing: is this send small enough — and the connection in a state
   /// where holding it back cannot delay a direct transfer?
   bool ShouldStage(std::uint64_t len) const;
@@ -571,11 +565,8 @@ class StreamRx {
   /// Fig. 5: copy buffered bytes into pending receives FIFO, charging the
   /// node CPU at memcpy bandwidth.
   void DrainRing();
-  /// Coalescing: fold pending ACK free-counts into outgoing ADVERTs?
-  bool PiggybackAcks() const {
-    return ctx_.options.coalesce.enabled &&
-           ctx_.options.coalesce.piggyback_acks;
-  }
+  /// Coalescing also folds pending ACK free-counts into outgoing ADVERTs.
+  bool PiggybackAcks() const { return ctx_.options.coalesce.enabled; }
   bool RecoveryOn() const { return ctx_.options.recovery.enabled; }
   void MaybeSendAck();
   void CompleteFront();

@@ -70,20 +70,18 @@ void StreamTx::Submit(std::uint64_t id, const void* buf, std::uint64_t len,
                 "a send must fit one gather element");
   const verbs::Sge sge{reinterpret_cast<std::uint64_t>(buf),
                        static_cast<std::uint32_t>(len), lkey};
-  Enqueue(id, {&sge, 1}, /*may_stage=*/true, {});
+  Enqueue(id, {&sge, 1}, /*may_stage=*/true);
 }
 
-void StreamTx::SubmitV(std::uint64_t id, std::span<const verbs::Sge> sges,
-                       std::vector<verbs::MemoryRegionPtr> pins) {
+void StreamTx::SubmitV(std::uint64_t id, std::span<const verbs::Sge> sges) {
   EXS_CHECK_MSG(!sges.empty() && sges.size() <= verbs::kMaxSge,
                 "Sendv arity must be 1.." << verbs::kMaxSge << ", got "
                                           << sges.size());
-  Enqueue(id, sges, /*may_stage=*/false, std::move(pins));
+  Enqueue(id, sges, /*may_stage=*/false);
 }
 
 void StreamTx::Enqueue(std::uint64_t id, std::span<const verbs::Sge> sges,
-                       bool may_stage,
-                       std::vector<verbs::MemoryRegionPtr> pins) {
+                       bool may_stage) {
   EXS_CHECK_MSG(!shutdown_requested_, "send after Close()");
   std::uint64_t len = 0;
   for (const verbs::Sge& sge : sges) len += sge.length;
@@ -93,7 +91,6 @@ void StreamTx::Enqueue(std::uint64_t id, std::span<const verbs::Sge> sges,
     // message boundaries, so there is nothing to transfer.  The trace still
     // records the submission — an invisible code path would be beyond the
     // reach of the golden-trace and invariant suites.
-    for (const auto& mr : pins) ctx_.channel->device().UnpinCached(mr);
     Trace(TraceEventType::kZeroLengthSend);
     ctx_.metrics->sends_completed.Increment();
     ctx_.events->Push(Event{EventType::kSendComplete, id, 0, false});
@@ -135,7 +132,6 @@ void StreamTx::Enqueue(std::uint64_t id, std::span<const verbs::Sge> sges,
     std::copy(sges.begin(), sges.end(), rec->sges.begin());
     rec->num_sges = static_cast<std::uint32_t>(sges.size());
   }
-  rec->pinned = std::move(pins);
   inflight_.emplace(id, rec);
   chunk_queue_.push_back(rec);
   NoteQueued(rec);
@@ -258,9 +254,10 @@ void StreamTx::FlushCoalesced(CoalesceFlushReason reason) {
 void StreamTx::OnAdvert(const wire::ControlMessage& msg) {
   NoteDelivered(msg.delivered);
   if (msg.ack_piggyback != 0) {
-    // The ADVERT doubles as an ACK (Coalesce::piggyback_acks): release the
-    // freed buffer space first, exactly as the standalone ACK it replaces
-    // would have been processed first (it would have been sent earlier).
+    // The ADVERT doubles as an ACK (StreamOptions::coalesce piggybacks
+    // ACKs): release the freed buffer space first, exactly as the
+    // standalone ACK it replaces would have been processed first (it would
+    // have been sent earlier).
     remote_ring_.ReleaseFree(msg.freed);
     Trace(TraceEventType::kAckReceived, msg.freed);
   }
@@ -587,12 +584,6 @@ void StreamTx::CompleteSend(std::shared_ptr<PendingSend> rec) {
   // never arrive).  The application sees exactly one event either way.
   if (rec->completion_reported) return;
   rec->completion_reported = true;
-  if (!rec->pinned.empty()) {
-    for (const auto& mr : rec->pinned) {
-      ctx_.channel->device().UnpinCached(mr);
-    }
-    rec->pinned.clear();
-  }
   if (rec->members.empty()) {
     ctx_.metrics->sends_completed.Increment();
     ctx_.metrics->bytes_sent.Add(rec->len);

@@ -81,8 +81,9 @@ struct StreamOptions {
   /// Rail choice policy when rails > 1.
   RailScheduler rail_scheduler = RailScheduler::kShortestOutstanding;
 
-  /// Register send/receive buffers on first use instead of requiring an
-  /// explicit RegisterMemory() call.
+  /// Register send/receive buffers (and Sendv slices without a handle) on
+  /// first use instead of requiring an explicit RegisterMemory() call.  An
+  /// auto-registered region lives as long as the device.
   bool auto_register_memory = true;
 
   /// Small-transfer coalescing (off by default).  When enabled, the sender
@@ -97,23 +98,17 @@ struct StreamOptions {
     std::uint64_t max_bytes = 4 * kKiB;
     /// Longest a staged byte may wait before the buffer is flushed.
     SimDuration max_delay = Microseconds(5);
-    /// Fold pending ACK free-counts into outgoing ADVERTs.
-    bool piggyback_acks = true;
   } coalesce;
 
   /// Hot-path batching (off by default; everything here is opt-in and the
-  /// defaults are bit-identical to pre-batching builds).  Three
+  /// defaults are bit-identical to pre-batching builds).  Two
   /// independently armable pieces:
   ///   - doorbell batching: the WWIs one sender pump pass produces are
   ///     posted behind a single doorbell (QueuePair::PostSendBatch), so a
   ///     burst of small chunks pays one doorbell_cost plus per_wr_cost
   ///     each instead of send_wr_overhead each — the WR-bound-regime
   ///     optimisation (RDMAbox-style WR merging);
-  ///   - batched CQ drain (cq_drain below);
-  ///   - MR registration cache: arms the device-level LRU cache
-  ///     (verbs::Device::EnableMrCache) plus the registration cost model,
-  ///     so repeated Sendv slices hit warm registrations instead of
-  ///     re-pinning.
+  ///   - batched CQ drain (cq_drain below).
   /// Small sends are merged by the coalescing stage above, never here.
   struct Batching {
     /// Post the chunks of one pump pass behind a single doorbell.
@@ -128,8 +123,6 @@ struct StreamOptions {
     /// batch.  1 (the default) keeps one-completion-per-pass dispatch,
     /// bit-identical to pre-batching builds.
     std::uint32_t cq_drain = 1;
-    /// Unpinned entries the device MR cache retains; 0 leaves it off.
-    std::size_t mr_cache_entries = 0;
   } batching;
 
   /// Fatal-fault recovery (off by default).  When enabled, the sender
@@ -218,16 +211,15 @@ struct StreamStats {
   std::uint64_t doorbell_batches = 0;
   std::uint64_t batched_wrs = 0;
   std::uint64_t sendv_calls = 0;
-  /// MR registration traffic on the socket's device: actual registrations
-  /// performed and pins served from the registration cache.
+  /// Registrations made on the socket's device over its lifetime
+  /// (verbs::Device::RegionsRegistered), every socket on the node included.
   std::uint64_t mr_registrations = 0;
-  std::uint64_t mr_cache_hits = 0;
 
   // Receiver half (this socket's incoming stream).
   std::uint64_t adverts_sent = 0;
   std::uint64_t acks_sent = 0;
   /// ACK free-counts that rode an outgoing ADVERT instead of their own
-  /// control message (StreamOptions::Coalesce::piggyback_acks).
+  /// control message (StreamOptions::coalesce).
   std::uint64_t acks_piggybacked = 0;
   std::uint64_t credit_messages_sent = 0;
   std::uint64_t bytes_copied_out = 0;  ///< drained from intermediate buffer

@@ -54,10 +54,9 @@ struct HardwareProfile {
 
   /// Host-side cost of registering one memory region (ibv_reg_mr: pinning
   /// pages, writing translation entries).  Charged as simulated time on
-  /// the registering device's host clock when nonzero; the default 0 keeps
-  /// registration free, matching the seed model.  The MR registration
-  /// cache (verbs::Device::EnableMrCache) exists to amortise exactly this
-  /// cost across buffer reuse.
+  /// the registering device's host clock when nonzero and the device arms
+  /// its cost model (verbs::Device::EnableMrCostModel); the default 0
+  /// keeps registration free, matching the seed model.
   SimDuration mr_register_cost = 0;
 
   /// Maximum payload the HCA accepts inline in a send WR.

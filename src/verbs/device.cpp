@@ -29,10 +29,6 @@ MemoryRegionPtr Device::RegisterMemory(void* addr, std::size_t length,
     by_range_.emplace(Range{reinterpret_cast<std::uint64_t>(addr), length},
                       mr.get());
   }
-  ++mr_cache_stats_.registrations;
-  if (mr_registrations_counter_ != nullptr) {
-    mr_registrations_counter_->Increment();
-  }
   ChargeRegistration();
   return mr;
 }
@@ -48,65 +44,6 @@ void Device::ChargeRegistration() {
   // handlers, pumps) queues behind it.
   mr_time_charged_ += cost;
   node().cpu().Submit(cost, [] {});
-}
-
-void Device::EnableMrCache(std::size_t capacity) {
-  EXS_CHECK_MSG(capacity > 0, "MR cache needs a nonzero capacity");
-  mr_cache_capacity_ = capacity;
-}
-
-MemoryRegionPtr Device::RegisterMemoryCached(void* addr, std::size_t length) {
-  if (mr_cache_capacity_ == 0) return RegisterMemory(addr, length);
-  CacheKey key{reinterpret_cast<std::uint64_t>(addr), length};
-  auto it = mr_cache_index_.find(key);
-  if (it != mr_cache_index_.end()) {
-    // Hit: re-pin and refresh recency — no device work, no cost charge.
-    mr_cache_.splice(mr_cache_.begin(), mr_cache_, it->second);
-    CacheEntry& entry = *it->second;
-    ++entry.pins;
-    ++mr_cache_stats_.cache_hits;
-    if (mr_cache_hits_counter_ != nullptr) mr_cache_hits_counter_->Increment();
-    return entry.mr;
-  }
-  MemoryRegionPtr mr = RegisterMemory(addr, length);
-  mr_cache_.push_front(CacheEntry{key.first, key.second, mr, 1});
-  mr_cache_index_.emplace(key, mr_cache_.begin());
-  EvictOverCapacity();
-  return mr;
-}
-
-void Device::UnpinCached(const MemoryRegionPtr& mr) {
-  EXS_CHECK(mr != nullptr);
-  CacheKey key{reinterpret_cast<std::uint64_t>(mr->addr()), mr->length()};
-  auto it = mr_cache_index_.find(key);
-  if (it == mr_cache_index_.end() || it->second->mr != mr) return;
-  CacheEntry& entry = *it->second;
-  EXS_CHECK_MSG(entry.pins > 0, "UnpinCached without a matching pin");
-  --entry.pins;
-  EvictOverCapacity();
-}
-
-void Device::EvictOverCapacity() {
-  // Only unpinned entries count against capacity (pinned regions are in
-  // use by in-flight work requests and must stay registered), so walk from
-  // the LRU end deregistering cold unpinned registrations until the
-  // unpinned population fits.
-  std::size_t unpinned = 0;
-  for (const CacheEntry& entry : mr_cache_) {
-    if (entry.pins == 0) ++unpinned;
-  }
-  for (auto it = mr_cache_.rbegin();
-       it != mr_cache_.rend() && unpinned > mr_cache_capacity_;) {
-    if (it->pins != 0) {
-      ++it;
-      continue;
-    }
-    DeregisterMemory(it->mr);
-    ++mr_cache_stats_.evictions;
-    --unpinned;
-    mr_cache_index_.erase(CacheKey{it->addr, it->length});
-    it = decltype(it){mr_cache_.erase(std::next(it).base())};
-  }
 }
 
 void Device::DeregisterMemory(const MemoryRegionPtr& mr) {

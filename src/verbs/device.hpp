@@ -3,37 +3,25 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "common/metrics.hpp"
 #include "simnet/fabric.hpp"
 #include "verbs/completion.hpp"
 #include "verbs/memory.hpp"
 
 namespace exs::verbs {
 
-/// Observable counters of the MR registration cache (and the registration
-/// cost model): `registrations` counts *actual* device registrations —
-/// cache misses and uncached RegisterMemory calls alike — while
-/// `cache_hits` counts pins satisfied without touching the device.
-struct MrCacheStats {
-  std::uint64_t registrations = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t evictions = 0;
-};
-
 /// Who can find a region by address.  Every region resolves by key; only
 /// application-scope regions also enter the (start, length) index that
 /// FindCovering searches, so library-internal memory never satisfies an
 /// application buffer's lookup.
 enum class MrScope : std::uint8_t {
-  /// Rings, control slabs, staging buffers, snapshots, LRU-cache pins and
-  /// the RPC tier's frame, header and receive pools and value slab, which
-  /// the library addresses by handle (Socket's region-taking I/O forms).
+  /// Rings, control slabs, staging buffers, snapshots and the RPC tier's
+  /// frame, header and receive pools and value slab, which the library
+  /// addresses by handle (Socket's region-taking I/O forms).
   kInternal,
   /// exs_mregister scope (Socket::RegisterMemory and auto-registration):
   /// covers that memory for every socket on the device (the protection
@@ -73,48 +61,8 @@ class Device {
   /// default — the seed model registered for free, and recorded artefacts
   /// depend on that — so timing changes only when a run opts in.
   void EnableMrCostModel(bool on = true) { mr_cost_armed_ = on; }
-  bool mr_cost_armed() const { return mr_cost_armed_; }
   /// Total simulated time charged for registrations so far.
   SimDuration MrTimeCharged() const { return mr_time_charged_; }
-
-  /// Arm an LRU registration cache of at most `capacity` *unpinned*
-  /// regions keyed by (addr, length) — the rdma-pipe buffer-reuse pattern.
-  /// Pinned entries never count against capacity and are never evicted.
-  void EnableMrCache(std::size_t capacity);
-  bool mr_cache_enabled() const { return mr_cache_capacity_ > 0; }
-
-  /// Pin a registration through the cache: a (addr, length) pair seen
-  /// before (and still cached) is returned without touching the device —
-  /// a cache hit; otherwise the region is registered (paying the cost
-  /// model) and enters the cache pinned.  Each pin must be matched by an
-  /// UnpinCached before the entry becomes evictable.  Requires
-  /// EnableMrCache; falls back to plain RegisterMemory otherwise.
-  MemoryRegionPtr RegisterMemoryCached(void* addr, std::size_t length);
-
-  /// Drop one pin.  The registration stays valid and cached (warm for the
-  /// next RegisterMemoryCached of the same buffer) until LRU eviction
-  /// deregisters it.  Unpinning a region the cache does not hold is a
-  /// no-op, so callers may release uncached regions uniformly.
-  void UnpinCached(const MemoryRegionPtr& mr);
-
-  const MrCacheStats& mr_cache_stats() const { return mr_cache_stats_; }
-  /// Mirror future registration/cache-hit counts into registry counters
-  /// (either may be null): the `mr.registrations` / `mr.cache_hits`
-  /// instruments of docs/OBSERVABILITY.md.
-  void SetMrInstruments(metrics::Counter* registrations,
-                        metrics::Counter* cache_hits) {
-    mr_registrations_counter_ = registrations;
-    mr_cache_hits_counter_ = cache_hits;
-  }
-  /// Stop mirroring into whichever of these counters is still the mirror;
-  /// their owner calls this before it dies.
-  void DetachMrInstruments(const metrics::Counter* registrations,
-                           const metrics::Counter* cache_hits) {
-    if (mr_registrations_counter_ == registrations) {
-      mr_registrations_counter_ = nullptr;
-    }
-    if (mr_cache_hits_counter_ == cache_hits) mr_cache_hits_counter_ = nullptr;
-  }
 
   /// Key lookups used by the data path; null when unknown or invalidated.
   const MemoryRegion* FindByLkey(std::uint32_t lkey) const;
@@ -134,6 +82,9 @@ class Device {
 
   /// Live (registered, not yet deregistered) regions of every scope.
   std::size_t RegisteredRegionCount() const { return live_regions_; }
+  /// Lifetime count of registrations on this device, of every scope; the
+  /// cost model charges each one.
+  std::uint64_t RegionsRegistered() const { return regions_.size(); }
 
   /// Lifetime count of queue pairs constructed against this device.  The
   /// verbs-state budget signal for the mux benches: dedicated-per-stream
@@ -142,19 +93,10 @@ class Device {
   void NoteQueuePairCreated() { ++qps_created_; }
 
  private:
-  struct CacheEntry {
-    std::uint64_t addr = 0;
-    std::uint64_t length = 0;
-    MemoryRegionPtr mr;
-    std::uint32_t pins = 0;
-  };
-  using CacheList = std::list<CacheEntry>;  // front = most recently used
   /// (start address, length) of a region.
   using Range = std::pair<std::uint64_t, std::uint64_t>;
-  using CacheKey = Range;
 
   void ChargeRegistration();
-  void EvictOverCapacity();
 
   simnet::Fabric* fabric_;
   std::size_t node_index_;
@@ -172,12 +114,6 @@ class Device {
 
   bool mr_cost_armed_ = false;
   SimDuration mr_time_charged_ = 0;
-  std::size_t mr_cache_capacity_ = 0;
-  CacheList mr_cache_;
-  std::map<CacheKey, CacheList::iterator> mr_cache_index_;
-  MrCacheStats mr_cache_stats_;
-  metrics::Counter* mr_registrations_counter_ = nullptr;
-  metrics::Counter* mr_cache_hits_counter_ = nullptr;
 };
 
 /// Heap bytes plus their registration: the owner of memory the library

@@ -66,51 +66,6 @@ TEST(ConnectionTest, ConnectToUnboundPortIsRejected) {
   EXPECT_EQ(result, nullptr);
 }
 
-// A socket that arms the MR cache mirrors its device's registration
-// traffic into its own mr.* counters.  A rejected connect discards the
-// client socket at once, so the device must stop mirroring into it: the
-// next socket built on that node registers its control slab through the
-// device (a heap-use-after-free under ASan while the mirror dangled).
-TEST(ConnectionTest, RejectedCacheArmedSocketLeavesNoDanglingMrMirror) {
-  Simulation sim(HardwareProfile::FdrInfiniBand(), 6, true);
-  StreamOptions cached;
-  cached.batching.mr_cache_entries = 16;
-  Socket* result = reinterpret_cast<Socket*>(1);
-  sim.Connect(0, 4242, SocketType::kStream, cached,
-              [&](Socket* s) { result = s; });
-  sim.Run();
-  ASSERT_EQ(result, nullptr);
-  const std::uint64_t before = sim.device(0).mr_cache_stats().registrations;
-
-  auto [client, server] = sim.CreateConnectedPair(SocketType::kStream);
-  EXPECT_GT(sim.device(0).mr_cache_stats().registrations, before);
-  std::vector<std::uint8_t> out(4096), in(4096);
-  FillPattern(out.data(), out.size(), 0, 6);
-  server->Recv(in.data(), in.size(), RecvFlags{.waitall = true});
-  client->Send(out.data(), out.size());
-  sim.Run();
-  EXPECT_EQ(VerifyPattern(in.data(), in.size(), 0, 6), in.size());
-}
-
-// The same mirror, armed by a socket whose constructor then throws: the
-// half-built socket must take the mirror back as its members unwind.
-TEST(ConnectionTest, ThrowingCacheArmedSocketLeavesNoDanglingMrMirror) {
-  Simulation sim(HardwareProfile::FdrInfiniBand(), 7, true);
-  StreamOptions bad;
-  bad.batching.mr_cache_entries = 16;
-  bad.intermediate_buffer_bytes = 0;  // rejected after the cache is armed
-  EXPECT_THROW(sim.CreateConnectedPair(SocketType::kStream, bad),
-               InvariantViolation);
-
-  auto [client, server] = sim.CreateConnectedPair(SocketType::kStream);
-  std::vector<std::uint8_t> out(4096), in(4096);
-  FillPattern(out.data(), out.size(), 0, 7);
-  server->Recv(in.data(), in.size(), RecvFlags{.waitall = true});
-  client->Send(out.data(), out.size());
-  sim.Run();
-  EXPECT_EQ(VerifyPattern(in.data(), in.size(), 0, 7), in.size());
-}
-
 TEST(ConnectionTest, TypeMismatchIsRejected) {
   Simulation sim(HardwareProfile::FdrInfiniBand(), 4, false);
   sim.Listen(1, 4000, SocketType::kSeqPacket);

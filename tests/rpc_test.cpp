@@ -628,9 +628,9 @@ TEST(RpcKv, RegistrationsStayFlatAcrossManyCalls) {
   const std::size_t client_regions = f.sim.device(0).RegisteredRegionCount();
   const std::size_t server_regions = f.sim.device(1).RegisteredRegionCount();
   const std::uint64_t client_registrations =
-      f.sim.device(0).mr_cache_stats().registrations;
+      f.sim.device(0).RegionsRegistered();
   const std::uint64_t server_registrations =
-      f.sim.device(1).mr_cache_stats().registrations;
+      f.sim.device(1).RegionsRegistered();
   constexpr std::uint32_t kSizes[] = {24, 130, 300, 480};
   std::vector<std::uint8_t> value(480, 0x5a);
   int answered = 0;
@@ -655,10 +655,9 @@ TEST(RpcKv, RegistrationsStayFlatAcrossManyCalls) {
   EXPECT_LE(f.sim.device(0).RegisteredRegionCount(),
             client_regions + kWindow);
   EXPECT_LE(f.sim.device(1).RegisteredRegionCount(), server_regions + 1);
-  EXPECT_LE(f.sim.device(0).mr_cache_stats().registrations,
+  EXPECT_LE(f.sim.device(0).RegionsRegistered(),
             client_registrations + kWindow);
-  EXPECT_LE(f.sim.device(1).mr_cache_stats().registrations,
-            server_registrations + 1);
+  EXPECT_LE(f.sim.device(1).RegionsRegistered(), server_registrations + 1);
   EXPECT_EQ(f.client->frames_sending(), 0u);
   EXPECT_EQ(f.server.headers_free(), f.server.headers_registered());
   InvariantReport report = f.Check();

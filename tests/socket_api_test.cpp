@@ -97,7 +97,7 @@ TEST(SocketApi, AutoRegistrationBehindAShorterRegionRegistersOnce) {
   a->RegisterMemory(out.data(), 64);
   b->Recv(in.data(), in.size(), RecvFlags{.waitall = true});
   const verbs::Device& node0 = sim.device(0);
-  const std::uint64_t registrations = node0.mr_cache_stats().registrations;
+  const std::uint64_t registrations = node0.RegionsRegistered();
   const std::size_t live = node0.RegisteredRegionCount();
   for (int i = 0; i < kSends; ++i) a->Send(out.data(), out.size());
   sim.Run();
@@ -105,7 +105,7 @@ TEST(SocketApi, AutoRegistrationBehindAShorterRegionRegistersOnce) {
   EXPECT_EQ(VerifyPattern(in.data() + (kSends - 1) * out.size(), out.size(),
                           0, 5),
             out.size());
-  EXPECT_LE(node0.mr_cache_stats().registrations, registrations + 1);
+  EXPECT_LE(node0.RegionsRegistered(), registrations + 1);
   EXPECT_LE(node0.RegisteredRegionCount(), live + 1);
 }
 
@@ -240,32 +240,72 @@ TEST(SocketApi, SendvSlicesCarryTheirHandles) {
   EXPECT_EQ(VerifyPattern(in.data() + 100, 200, 1000, 33), 200u);
 }
 
-// A slice with a handle is sent through it, not pinned through the armed
-// MR cache; a slice without one is pinned as before.
+// With the registration cost model armed, a Sendv slice that a handle or
+// an indexed region covers registers and charges nothing: a handle slice
+// is sent through its region, and an address slice resolves to the region
+// that covers it, as Send's address form does.
 TEST(SocketApi, SendvHandleSlicesSkipTheMrCache) {
   Simulation sim(HardwareProfile::FdrInfiniBand(), 12, true);
-  StreamOptions opts;
-  opts.batching.mr_cache_entries = 4;
-  auto [a, b] = sim.CreateConnectedPair(SocketType::kStream, opts);
+  sim.device(0).EnableMrCostModel();
+  sim.device(1).EnableMrCostModel();
+  auto [a, b] = sim.CreateConnectedPair(SocketType::kStream);
   std::vector<std::uint8_t> out(1024), in(2048);
   auto mr = a->RegisterMemory(out.data(), out.size());
   b->RegisterMemory(in.data(), in.size());
-  const verbs::MrCacheStats before = sim.device(0).mr_cache_stats();
+  const verbs::Device& node0 = sim.device(0);
+  const std::uint64_t registrations = node0.RegionsRegistered();
+  const SimDuration charged = node0.MrTimeCharged();
+  const std::size_t live = node0.RegisteredRegionCount();
 
   b->Recv(in.data(), in.size(), RecvFlags{.waitall = true});
   Socket::IoSlice by_handle[2] = {{out.data(), 256, mr.get()},
                                   {out.data() + 512, 256, mr.get()}};
   for (int i = 0; i < 3; ++i) a->Sendv(by_handle, 2);
+  Socket::IoSlice by_address[2] = {{out.data(), 256},
+                                   {out.data() + 256, 256}};
+  a->Sendv(by_address, 2);
   sim.Run();
-  EXPECT_EQ(sim.device(0).mr_cache_stats().registrations, before.registrations);
-  EXPECT_EQ(sim.device(0).mr_cache_stats().cache_hits, before.cache_hits);
-
-  Socket::IoSlice by_address[1] = {{out.data(), 512}};
-  a->Sendv(by_address, 1);
-  sim.Run();
-  EXPECT_EQ(sim.device(0).mr_cache_stats().registrations,
-            before.registrations + 1);
   EXPECT_EQ(b->stats().bytes_received, in.size());
+  EXPECT_EQ(node0.RegionsRegistered(), registrations);
+  EXPECT_EQ(node0.MrTimeCharged(), charged);
+  EXPECT_EQ(node0.RegisteredRegionCount(), live);
+}
+
+// tx.sendv_calls counts accepted vectored sends.  A Sendv with a slice no
+// registration covers, auto-registration off, throws as Send's address
+// form does: it registers nothing and is not counted, though it consumes
+// a request id.
+TEST(SocketApi, RejectedSendvIsNotCounted) {
+  Simulation sim(HardwareProfile::FdrInfiniBand(), 13, true);
+  StreamOptions opts;
+  opts.auto_register_memory = false;
+  auto [a, b] = sim.CreateConnectedPair(SocketType::kStream, opts);
+  std::vector<std::uint8_t> out(512), in(512, 0);
+  FillPattern(out.data(), out.size(), 0, 13);
+  b->RegisterMemory(in.data(), in.size());
+  const verbs::Device& node0 = sim.device(0);
+  const std::uint64_t registrations = node0.RegionsRegistered();
+  const std::size_t live = node0.RegisteredRegionCount();
+  const metrics::Counter& sendv_calls =
+      *a->metrics_registry().counters().at("tx.sendv_calls").instrument;
+
+  Socket::IoSlice iov[2] = {{out.data(), 200}, {out.data() + 200, 312}};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_THROW(a->Sendv(iov, 2), InvariantViolation);
+  }
+  EXPECT_THROW(a->Send(out.data(), out.size()), InvariantViolation);
+  EXPECT_EQ(sendv_calls.value(), 0u);
+  EXPECT_EQ(a->stats().sendv_calls, 0u);
+  EXPECT_EQ(node0.RegionsRegistered(), registrations);
+  EXPECT_EQ(node0.RegisteredRegionCount(), live);
+
+  a->RegisterMemory(out.data(), out.size());
+  b->Recv(in.data(), in.size(), RecvFlags{.waitall = true});
+  EXPECT_EQ(a->Sendv(iov, 2), 5u);  // ids 1..4 went to the rejected calls
+  sim.Run();
+  EXPECT_EQ(sendv_calls.value(), 1u);
+  EXPECT_EQ(a->stats().sendv_calls, 1u);
+  EXPECT_EQ(VerifyPattern(in.data(), in.size(), 0, 13), in.size());
 }
 
 TEST(SocketApi, StatsAndIntrospectionExposed) {

@@ -1,10 +1,9 @@
 // Hot-path batching through the stream protocol: doorbell batching of a
-// pump pass's WWIs (StreamOptions::Batching::doorbell), vectored sends
+// pump pass's WWIs (StreamOptions::Batching::doorbell), and vectored sends
 // (Socket::Sendv) gathered straight from the caller's slices with no
-// staging copy, and the MR registration cache pinning Sendv slices for
-// exactly the life of their WRs.  Every test closes with the
-// connection-level invariant audit, which now includes the per-rail
-// gather-byte and doorbell conservation rules.
+// staging copy, their registrations found again on every reuse.  Every
+// test closes with the connection-level invariant audit, which now
+// includes the per-rail gather-byte and doorbell conservation rules.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -27,7 +26,6 @@ StreamOptions AllBatchingOn() {
   opts.coalesce.enabled = true;
   opts.batching.doorbell = true;
   opts.batching.max_wrs = 8;
-  opts.batching.mr_cache_entries = 16;
   return opts;
 }
 
@@ -182,18 +180,27 @@ TEST_F(StreamBatchingTest, SendvAggregationIsZeroCopy) {
   EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
-// MR cache through the socket: repeated Sendv of the same slices pins
-// warm registrations — registrations stay flat while hits climb.
+// Repeated Sendv of the same slices registers them once: round 1
+// auto-registers both slices, paying the armed cost model, and every
+// later round finds them in the device's address index.  Slices from
+// fresh buffers register once each and stay registered: nothing evicts an
+// auto-registration.  The counts live on the device, not in a socket's
+// registry.
 TEST_F(StreamBatchingTest, SendvReusesCachedRegistrations) {
+  verbs::Device& node0 = sim_.device(0);
+  node0.EnableMrCostModel();
   auto [client, server] =
       sim_.CreateConnectedPair(SocketType::kStream, AllBatchingOn());
   client->EnableTracing();
   server->EnableTracing();
+  const SimDuration cost = node0.profile().mr_register_cost;
 
   std::vector<std::uint8_t> s0(512), s1(512);
   std::vector<std::uint8_t> in(1024, 0);
   constexpr std::uint64_t kRounds = 5;
   for (std::uint64_t round = 0; round < kRounds; ++round) {
+    const std::uint64_t registrations = node0.RegionsRegistered();
+    const SimDuration charged = node0.MrTimeCharged();
     FillPattern(s0.data(), s0.size(), round * 1024, 41);
     FillPattern(s1.data(), s1.size(), round * 1024 + 512, 41);
     Socket::IoSlice iov[2] = {{s0.data(), s0.size()}, {s1.data(), s1.size()}};
@@ -202,12 +209,33 @@ TEST_F(StreamBatchingTest, SendvReusesCachedRegistrations) {
     sim_.Run();
     EXPECT_EQ(VerifyPattern(in.data(), in.size(), round * 1024, 41),
               in.size());
+    const std::uint64_t fresh = round == 0 ? 2 : 0;
+    EXPECT_EQ(node0.RegionsRegistered(), registrations + fresh)
+        << "round " << round + 1;
+    EXPECT_EQ(node0.MrTimeCharged(),
+              charged + static_cast<SimDuration>(fresh) * cost)
+        << "round " << round + 1;
   }
 
+  constexpr std::size_t kFresh = 40;
+  std::vector<std::uint8_t> fresh(kFresh * 64), sink(kFresh * 64);
+  const std::uint64_t registrations = node0.RegionsRegistered();
+  const std::size_t live = node0.RegisteredRegionCount();
+  server->Recv(sink.data(), sink.size(), RecvFlags{.waitall = true});
+  for (std::size_t i = 0; i < kFresh; ++i) {
+    Socket::IoSlice one[1] = {{fresh.data() + i * 64, 64}};
+    client->Sendv(one, 1);
+  }
+  sim_.Run();
+  EXPECT_EQ(node0.RegionsRegistered(), registrations + kFresh);
+  EXPECT_EQ(node0.RegisteredRegionCount(), live + kFresh);
+
   StreamStats stats = client->stats();
-  EXPECT_EQ(stats.sendv_calls, kRounds);
-  // Round 1 registers both slices; rounds 2..N pin them from the cache.
-  EXPECT_GE(stats.mr_cache_hits, 2u * (kRounds - 1));
+  EXPECT_EQ(stats.sendv_calls, kRounds + kFresh);
+  EXPECT_EQ(stats.bytes_sent, kRounds * in.size() + sink.size());
+  EXPECT_EQ(stats.mr_registrations, node0.RegionsRegistered());
+  EXPECT_EQ(client->metrics_registry().counters().count("mr.registrations"),
+            0u);
 
   auto report = CheckConnection(*client, *server);
   EXPECT_TRUE(report.ok()) << report.Summary();
@@ -282,7 +310,6 @@ TEST_F(StreamBatchingTest, DisabledBatchingMatchesDefaultWireCounts) {
   StreamOptions defaults;
   StreamOptions explicit_off;
   explicit_off.batching.doorbell = false;
-  explicit_off.batching.mr_cache_entries = 0;
   EXPECT_EQ(run(defaults), run(explicit_off));
 }
 

@@ -50,7 +50,8 @@ constexpr const char* kCorpusPath = EXS_TEST_DATA_DIR "/stream_golden.txt";
 enum class SendPath {
   kSend,       ///< Socket::Send on one dedicated queue pair
   kSendv,      ///< Socket::Sendv, arity 3 with a zero-length middle slice,
-               ///< under doorbell batching, cq_drain 4 and the MR cache
+               ///< under doorbell batching, cq_drain 4 and the devices'
+               ///< registration cost model
   kRails,      ///< Socket::Send striped over two rails
   kMux,        ///< Socket::Send on one stream of a shared-QP MuxGroup pair
   kSeqPacket,  ///< SOCK_SEQPACKET, fixed-size messages
@@ -129,13 +130,16 @@ Fingerprints RunGoldenWorkload(const GoldenConfig& cfg) {
   if (cfg.path == SendPath::kSendv) {
     opts.batching.doorbell = true;
     opts.batching.cq_drain = 4;
-    opts.batching.mr_cache_entries = 16;
   }
   if (cfg.path == SendPath::kRails) opts.rails = 2;
   const bool seqpacket = cfg.path == SendPath::kSeqPacket;
 
   Simulation sim(HardwareProfile::FdrInfiniBand(), cfg.seed,
                  /*carry_payload=*/true);
+  if (cfg.path == SendPath::kSendv) {
+    sim.device(0).EnableMrCostModel();
+    sim.device(1).EnableMrCostModel();
+  }
   // Declared after `sim`, so the groups die first and the muxed sockets'
   // streams skip their detach (the groups' liveness guard).
   std::unique_ptr<MuxGroup> g0, g1;

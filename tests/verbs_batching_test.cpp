@@ -1,9 +1,8 @@
 // Hot-path batching at the verbs layer: bounded gather lists
 // (SendWorkRequest::AddSge / kMaxSge), scatter-gather byte conservation,
 // batched doorbells (QueuePair::PostSendBatch) with the amortised
-// doorbell/per-WR cost model, batched completion draining
-// (CompletionQueue::PollBatch), and the device-level MR registration
-// cache (pin/unpin refcounts, LRU eviction, hit/miss accounting).
+// doorbell/per-WR cost model, and batched completion draining
+// (CompletionQueue::PollBatch).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -253,48 +252,6 @@ TEST_F(VerbsBatchingTest, BatchWithoutDoorbellModelMatchesSinglePosts) {
     return fab.scheduler().Now();
   };
   EXPECT_EQ(run(/*batch=*/true), run(/*batch=*/false));
-}
-
-// MR cache: the second pin of the same (addr, length) is a hit and does
-// not re-register; distinct lengths are distinct entries; unpinned
-// entries are evicted LRU-first once capacity is exceeded, while pinned
-// entries survive any pressure.
-TEST_F(VerbsBatchingTest, MrCachePinsHitsAndEvictsLru) {
-  dev0_.EnableMrCache(2);
-  std::vector<std::uint8_t> a(256), b(256), c(256);
-
-  auto a_pin = dev0_.RegisterMemoryCached(a.data(), a.size());
-  EXPECT_EQ(dev0_.mr_cache_stats().registrations, 1u);
-  EXPECT_EQ(dev0_.mr_cache_stats().cache_hits, 0u);
-
-  // Same buffer, same length: a hit, same region, no new registration.
-  auto a_pin2 = dev0_.RegisterMemoryCached(a.data(), a.size());
-  EXPECT_EQ(a_pin2.get(), a_pin.get());
-  EXPECT_EQ(dev0_.mr_cache_stats().registrations, 1u);
-  EXPECT_EQ(dev0_.mr_cache_stats().cache_hits, 1u);
-
-  // Same buffer, different length: a different cache key.
-  auto a_half = dev0_.RegisterMemoryCached(a.data(), a.size() / 2);
-  EXPECT_NE(a_half.get(), a_pin.get());
-  EXPECT_EQ(dev0_.mr_cache_stats().registrations, 2u);
-
-  // Release all pins on `a` full-length, fill the cache past capacity:
-  // the LRU unpinned entry goes, the still-pinned half-length stays hot.
-  dev0_.UnpinCached(a_pin);
-  dev0_.UnpinCached(a_pin2);
-  auto b_pin = dev0_.RegisterMemoryCached(b.data(), b.size());
-  dev0_.UnpinCached(b_pin);
-  auto c_pin = dev0_.RegisterMemoryCached(c.data(), c.size());
-  dev0_.UnpinCached(c_pin);
-  EXPECT_GE(dev0_.mr_cache_stats().evictions, 1u);
-
-  // The evicted full-length `a` re-registers; the pinned-then-unpinned
-  // half entry may still be warm.
-  dev0_.UnpinCached(a_half);
-  std::uint64_t regs_before = dev0_.mr_cache_stats().registrations;
-  auto a_again = dev0_.RegisterMemoryCached(a.data(), a.size());
-  EXPECT_EQ(dev0_.mr_cache_stats().registrations, regs_before + 1);
-  dev0_.UnpinCached(a_again);
 }
 
 // Batched dispatch (SetDispatchBatch) clumps handler delivery: one wake-up

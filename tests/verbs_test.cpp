@@ -152,6 +152,41 @@ TEST_F(VerbsTest, RegisteredBufferDeregistersOnDestruction) {
   EXPECT_EQ(dev0_.FindByLkey(lkey), nullptr);
 }
 
+// The registration cost model, armed on the device: each registration
+// occupies the node's CPU for exactly the profile's mr_register_cost (no
+// jitter on this fabric), an unarmed device charges nothing, and
+// deregistration is free either way.
+TEST(VerbsCostModel, ArmedDeviceChargesEachRegistration) {
+  simnet::HardwareProfile profile = simnet::HardwareProfile::FdrInfiniBand();
+  profile.cpu_jitter = 0.0;
+  simnet::Fabric fabric(profile, 5);
+  Device armed(fabric, 0), unarmed(fabric, 1);
+  armed.EnableMrCostModel();
+  const SimDuration cost = profile.mr_register_cost;
+  ASSERT_GT(cost, 0);
+  std::vector<std::uint8_t> buf(4096);
+  constexpr int kRegions = 3;
+
+  std::vector<MemoryRegionPtr> regions;
+  for (int i = 0; i < kRegions; ++i) {
+    regions.push_back(armed.RegisterMemory(buf.data() + i * 512, 512));
+    unarmed.RegisterMemory(buf.data() + i * 512, 512);
+  }
+  fabric.scheduler().Run();
+  EXPECT_EQ(armed.RegionsRegistered(), std::uint64_t{kRegions});
+  EXPECT_EQ(armed.MrTimeCharged(), kRegions * cost);
+  EXPECT_EQ(armed.node().cpu().BusyTime(), kRegions * cost);
+  EXPECT_EQ(unarmed.RegionsRegistered(), std::uint64_t{kRegions});
+  EXPECT_EQ(unarmed.MrTimeCharged(), 0);
+  EXPECT_EQ(unarmed.node().cpu().BusyTime(), 0);
+
+  for (const MemoryRegionPtr& mr : regions) armed.DeregisterMemory(mr);
+  fabric.scheduler().Run();
+  EXPECT_EQ(armed.MrTimeCharged(), kRegions * cost);
+  EXPECT_EQ(armed.node().cpu().BusyTime(), kRegions * cost);
+  EXPECT_EQ(armed.RegisteredRegionCount(), 0u);
+}
+
 TEST_F(VerbsTest, SendRecvMovesBytes) {
   std::vector<std::uint8_t> src(1024), dst(1024, 0);
   FillPattern(src.data(), src.size(), 0, 42);

@@ -1011,12 +1011,12 @@ TortureResult RunTorture(const TortureConfig& cfg) {
   // buffer and ACK piggyback armed — the corpus round-trips it through the
   // existing mode key.
   if (cfg.mode == "coalesce") opts.coalesce.enabled = true;
-  // "batch" arms the whole hot-path batching stack — doorbell batching,
-  // batched CQ drain and the MR registration cache — with coalescing on,
-  // and drives sends through vectored Sendv, which gathers each chunk
-  // straight from the slices and never stages.  The seed picks the batch
-  // depth and Sendv arity (domain-separated from the fault plan and
-  // workload RNGs); explicit cfg.batch / cfg.arity pin their axes so a
+  // "batch" arms the whole hot-path batching stack — doorbell batching and
+  // batched CQ drain — with coalescing on and both devices' registration
+  // cost model, and drives sends through vectored Sendv, which gathers
+  // each chunk straight from the slices and never stages.  The seed picks
+  // the batch depth and Sendv arity (domain-separated from the fault plan
+  // and workload RNGs); explicit cfg.batch / cfg.arity pin their axes so a
   // corpus line replays the exact configuration.
   std::uint32_t sendv_arity = 1;
   if (cfg.mode == "batch") {
@@ -1030,7 +1030,6 @@ TortureResult RunTorture(const TortureConfig& cfg) {
     opts.coalesce.enabled = true;
     opts.batching.doorbell = true;
     opts.batching.max_wrs = depth;
-    opts.batching.mr_cache_entries = 32;
     // Batched CQ dispatch: {1, 4, 16} completions per CPU pass, so the
     // completion-clocked refills also exercise the clumped-post path.
     opts.batching.cq_drain = 1u << (2 * ((bits >> 5) % 3));
@@ -1065,6 +1064,10 @@ TortureResult RunTorture(const TortureConfig& cfg) {
   opts.sabotage.advertise_without_gate = cfg.sabotage_advert_gate;
 
   Simulation sim(profile, cfg.seed, /*carry_payload=*/true);
+  if (cfg.mode == "batch") {
+    sim.device(0).EnableMrCostModel();
+    sim.device(1).EnableMrCostModel();
+  }
   auto [client, server] = sim.CreateConnectedPair(
       seqpacket ? SocketType::kSeqPacket : SocketType::kStream, opts);
   client->EnableTracing(cfg.trace_capacity);

@@ -50,10 +50,10 @@ struct TortureConfig {
   /// them — and the checker additionally replays the mux conservation
   /// laws: group data accounting, per-stream sequence continuity, and
   /// per-slot credit conservation), or "batch" (the hot-path batching
-  /// stack armed in full — coalescing with sendv aggregation, doorbell
-  /// batching, and the MR registration cache — driven through vectored
-  /// Sendv postings; the seed derives the batch depth ∈ {2,4,8} and the
-  /// Sendv arity ∈ {1,2,4} unless `batch`/`arity` pin them, and the
+  /// stack armed in full — coalescing, doorbell batching and batched CQ
+  /// drain, with both devices' registration cost model — driven through
+  /// vectored Sendv postings; the seed derives the batch depth ∈ {2,4,8}
+  /// and the Sendv arity ∈ {1,2,4} unless `batch`/`arity` pin them, and the
   /// checker additionally audits per-rail gather-byte and doorbell
   /// conservation), or "rpc" (the RPC/KV tier: N RpcClients over a
   /// shared MuxGroup slot pool drive one sharded KV server through
