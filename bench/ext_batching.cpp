@@ -25,8 +25,8 @@
 // per-depth throughput, the gain over the unbatched baseline, and the
 // achieved batch depth (batched WRs per doorbell).  Past the WR-bound
 // regime (large messages) the columns converge: serialisation dominates
-// and the doorbell is noise.  CI gates on the 512 B depth-8 point (see
-// .github/workflows/ci.yml, job `batching`).
+// and the doorbell is noise.  CI gates on the 512 B depth-8 point of the
+// --quick run (see tools/gates.sh).
 #include <fstream>
 #include <iostream>
 #include <sstream>

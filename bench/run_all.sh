@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Run the headline stream benchmarks and merge their JSON results into one
-# machine-readable file at the repo root (BENCH_streams.json), which CI
-# archives as an artifact and gates on (see .github/workflows/ci.yml).
+# machine-readable file, by default the committed baseline at the repo
+# root (BENCH_streams.json).  tools/gates.sh runs it once with --quick and
+# --out under its build directory, diffs that file against the baseline and
+# gates on its entries.
 #
 #   bench/run_all.sh [--quick] [--build-dir DIR] [--out FILE]
 #

@@ -264,7 +264,6 @@ class ControlChannel : public ChannelEndpoint,
   /// (valid once connected).  The mux tier's virtual per-stream kill uses
   /// it so peer discovery keeps real-QP timing.
   SimDuration AckReturnDelay() const { return qp_->AckReturnDelay(); }
-  bool UsesSharedSlots() const { return shared_slots_ != nullptr; }
   std::uint32_t remote_credits() const { return remote_credits_; }
   std::uint32_t credit_pool_size() const { return credits_; }
   /// Reposted receives not yet reported to the peer.  At quiescence

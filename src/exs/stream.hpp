@@ -218,23 +218,18 @@ class StreamTx {
   void ResumeTx(const ResumeInfo& info);
 
   /// Recovery introspection.
-  std::uint64_t PeerDelivered() const { return peer_delivered_; }
   std::size_t RetransmitLogDepth() const { return sent_log_.size(); }
 
   // Introspection for tests and invariant checks.
   std::uint64_t phase() const { return phase_; }
   std::uint64_t sequence() const { return seq_; }
   std::size_t PendingSends() const { return inflight_.size() + staged_.size(); }
-  std::size_t AdvertQueueDepth() const { return advert_queue_.size(); }
   std::uint64_t RemoteRingFree() const { return remote_ring_.free(); }
   std::size_t StagedSends() const { return staged_.size(); }
   std::uint64_t StagedBytes() const { return staged_bytes_; }
   bool Quiescent() const { return inflight_.empty() && staged_.empty(); }
   std::size_t RailCount() const { return rails_.empty() ? 1 : rails_.size(); }
   std::uint64_t NextStripeSeq() const { return stripe_seq_; }
-  std::uint64_t RailOutstandingBytes(std::size_t rail) const {
-    return rail_outstanding_[rail];
-  }
 
   /// One WWI's worth of a pending send: what remains of the message,
   /// clipped to the destination room (ADVERT remainder or contiguous ring
@@ -493,7 +488,6 @@ class StreamRx {
   /// Returns true when the lease was released (now or earlier); false
   /// while the ring is still live or when there is no lease.
   bool TryReleaseRing();
-  bool RingReleased() const { return ring_released_; }
 
   // ---- Fatal-fault recovery (StreamOptions::recovery) --------------------
 

@@ -60,9 +60,8 @@ class CompletionQueue {
   /// per-event CPU charge still accrues per completion (the pass costs
   /// n * per_event_cpu); what changes is the clumping, which is what lets
   /// an upper layer batch the work requests it posts in response (doorbell
-  /// batching rings once for the whole drain).  1 — the default — keeps
-  /// the one-completion-per-pass model, bit-identical to builds without
-  /// this knob.
+  /// batching rings once for the whole drain).  1 — the default — is one
+  /// completion per pass: each handler runs after its own per-event charge.
   void SetDispatchBatch(std::size_t max_n) {
     EXS_CHECK_MSG(max_n >= 1, "dispatch batch must be at least 1");
     dispatch_batch_ = max_n;
@@ -92,13 +91,11 @@ class CompletionQueue {
 
   std::size_t Depth() const { return queue_.size(); }
   std::uint64_t TotalCompletions() const { return total_; }
-  std::size_t MaxDepth() const { return max_depth_; }
 
   /// Internal: called by queue pairs when an operation completes.
   void Push(WorkCompletion wc) {
     queue_.push_back(wc);
     ++total_;
-    if (queue_.size() > max_depth_) max_depth_ = queue_.size();
     MaybeScheduleWakeup();
   }
 
@@ -111,36 +108,11 @@ class CompletionQueue {
       double factor = 1.0 + notify_jitter_ * (2.0 * rng_.NextDouble() - 1.0);
       delay = static_cast<SimDuration>(static_cast<double>(delay) * factor);
     }
-    scheduler_->ScheduleAfter(delay, [this] {
-      // The one-per-pass path is kept verbatim (not folded into the batch
-      // path) so the default stays bit-identical: same CPU submissions in
-      // the same order means the same jitter RNG draws.
-      if (dispatch_batch_ == 1) {
-        cpu_->Submit(per_event_cpu_, [this] { HandleOne(); });
-      } else {
-        SubmitDrain();
-      }
-    });
+    scheduler_->ScheduleAfter(delay, [this] { SubmitDrain(); });
   }
 
-  void HandleOne() {
-    if (queue_.empty() || !handler_) {
-      wakeup_pending_ = false;
-      return;
-    }
-    WorkCompletion wc = queue_.front();
-    queue_.pop_front();
-    handler_(wc);
-    if (!queue_.empty()) {
-      // Already awake: drain without paying the notification latency again.
-      cpu_->Submit(per_event_cpu_, [this] { HandleOne(); });
-    } else {
-      wakeup_pending_ = false;
-    }
-  }
-
-  /// Batched dispatch: charge the CPU for everything visible now (up to
-  /// the batch bound), then run those handlers back to back in one pass.
+  /// One dispatch pass: charge the CPU for everything visible now (up to
+  /// the batch bound), then run those handlers back to back.
   /// Completions landing while the pass executes wait for the next one —
   /// a real poll loop would likewise only see them on its next ibv_poll_cq.
   void SubmitDrain() {
@@ -179,7 +151,6 @@ class CompletionQueue {
   std::size_t dispatch_batch_ = 1;
   bool wakeup_pending_ = false;
   std::uint64_t total_ = 0;
-  std::size_t max_depth_ = 0;
 };
 
 }  // namespace exs::verbs

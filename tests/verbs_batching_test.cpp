@@ -5,8 +5,10 @@
 // (CompletionQueue::PollBatch).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/pattern.hpp"
@@ -255,16 +257,22 @@ TEST_F(VerbsBatchingTest, BatchWithoutDoorbellModelMatchesSinglePosts) {
 }
 
 // Batched dispatch (SetDispatchBatch) clumps handler delivery: one wake-up
-// drains up to max_n completions in a single CPU pass, so their handlers
+// drains up to b completions in a single CPU pass, so their handlers
 // all observe the same simulated instant — the precondition for doorbell-
 // batching the posts they trigger.  Charges stay per-completion: a pass
-// over k completions costs k * per_event_cpu, and the second pass pays no
-// fresh notification latency (the thread is already awake).
-TEST_F(VerbsBatchingTest, DispatchBatchClumpsHandlersAtOneInstant) {
+// over k completions costs k * per_event_cpu, and later passes pay no
+// fresh notification latency (the thread is already awake).  b = 1 is the
+// default: one completion per pass, handlers 100 ns apart.
+class VerbsBatchingDispatchTest
+    : public VerbsBatchingTest,
+      public ::testing::WithParamInterface<std::size_t> {};
+
+TEST_P(VerbsBatchingDispatchTest, DispatchBatchClumpsHandlersAtOneInstant) {
+  const std::size_t b = GetParam();
   simnet::Cpu cpu(fabric_.scheduler());  // fresh core: no seeded jitter
   CompletionQueue cq(fabric_.scheduler(), cpu, Microseconds(1),
                      Nanoseconds(100));
-  cq.SetDispatchBatch(4);
+  cq.SetDispatchBatch(b);
   std::vector<std::pair<SimTime, std::uint64_t>> seen;
   cq.SetHandler([&](const WorkCompletion& wc) {
     seen.emplace_back(fabric_.scheduler().Now(), wc.wr_id);
@@ -277,16 +285,24 @@ TEST_F(VerbsBatchingTest, DispatchBatchClumpsHandlersAtOneInstant) {
   fabric_.scheduler().Run();
 
   ASSERT_EQ(seen.size(), 6u);
-  for (std::uint64_t i = 0; i < 6; ++i) EXPECT_EQ(seen[i].second, i);
-  // First pass: four completions at one instant, one notification plus a
-  // four-event CPU charge.
-  const SimTime first = Microseconds(1) + 4 * Nanoseconds(100);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(seen[i].first, first);
-  // Second pass: the remaining two, 200 ns of CPU later.
-  const SimTime second = first + 2 * Nanoseconds(100);
-  for (int i = 4; i < 6; ++i) EXPECT_EQ(seen[i].first, second);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(seen[i].second, i);
+    // Handler i runs in pass i / b, after one notification plus the charge
+    // for every completion up to the end of that pass.
+    const std::size_t charged = std::min<std::size_t>(6, (i / b + 1) * b);
+    EXPECT_EQ(seen[i].first,
+              Microseconds(1) + static_cast<SimTime>(charged) *
+                                    Nanoseconds(100))
+        << "handler " << i;
+  }
   EXPECT_EQ(cpu.BusyTime(), 6 * Nanoseconds(100));
 }
+
+INSTANTIATE_TEST_SUITE_P(Batch, VerbsBatchingDispatchTest,
+                         ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<std::size_t>& i) {
+                           return "b" + std::to_string(i.param);
+                         });
 
 }  // namespace
 }  // namespace exs::verbs
