@@ -59,12 +59,12 @@ class ControlSlotSource {
 };
 
 /// The transport surface a protocol half (StreamTx/StreamRx/SeqPacket*/
-/// Rendezvous*) drives.  Two implementations: ControlChannel — a dedicated
-/// queue pair per connection (classic) — and MuxStream (exs/mux.hpp) — one
-/// stream of a shared-QP MuxGroup, layering a per-stream credit window and
-/// fair dispatch over the shared channel's §II-B credits.  The protocol
-/// halves are written against this interface only, so multiplexing never
-/// touches the stream algorithms themselves.
+/// Rendezvous*) drives: one rail of a socket.  Two implementations:
+/// ControlChannel — a dedicated queue pair per rail (classic) — and
+/// MuxStream (exs/mux.hpp) — one stream of a shared-QP MuxGroup, layering a
+/// per-stream credit window and fair dispatch over the shared channel's
+/// §II-B credits.  The protocol halves are written against this interface
+/// only, so multiplexing never touches the stream algorithms themselves.
 class ChannelEndpoint {
  public:
   struct Callbacks {
@@ -105,6 +105,12 @@ class ChannelEndpoint {
   virtual bool CanSend() const = 0;
   /// The endpoint can accept no traffic until reconnected/revived.
   virtual bool dead() const = 0;
+  /// Force the transport into the fatal error state (fault injection):
+  /// on_fatal fires synchronously and the peer's half dies one transport
+  /// ack delay later.  Returns false — and does nothing — when the
+  /// endpoint is already dead: never a second flush or a dangling
+  /// callback.
+  virtual bool Kill() = 0;
   /// Send an ADVERT or ACK; fills in the piggybacked credit return (and,
   /// for mux endpoints, the stream id).  Caller must have checked CanSend().
   virtual void SendControl(wire::ControlMessage msg) = 0;
@@ -177,10 +183,9 @@ class ControlChannel : public ChannelEndpoint,
   /// reconnect — resuming is not a new admission.
   static void Connect(ControlChannel& a, ControlChannel& b);
 
-  /// Force the transport into the fatal error state (fault injection).
-  /// Returns false when the channel is already dead — the kill is a no-op,
-  /// never a dangling callback.
-  bool Kill();
+  /// Kills the queue pair: in-flight WRs flush with error completions and
+  /// new posts are refused.
+  bool Kill() override;
   bool dead() const override { return dead_; }
 
   void set_callbacks(Callbacks callbacks) override {

@@ -598,8 +598,7 @@ void CheckBatchingConservation(InvariantReport& report, const char* label,
   // audited by CheckMuxGroupPair; rails here are classic per-socket QPs.
   if (s.Muxed()) return;
   for (std::size_t rail = 0; rail < s.effective_rails(); ++rail) {
-    const ControlChannel& ch =
-        rail == 0 ? s.channel() : s.data_rail(rail - 1);
+    const ControlChannel& ch = s.rail(rail);
     if (!ch.HasQueuePair()) continue;  // never connected: nothing posted
     ++report.events_checked;
     const verbs::QueuePairStats& qp = ch.qp_stats();

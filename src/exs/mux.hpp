@@ -249,7 +249,7 @@ class MuxStream : public ChannelEndpoint {
   /// stream on it — stays healthy.  The peer stream is marked dead one
   /// transport ack delay later with kRetryExceededError, mirroring how a
   /// real peer discovers a QP death.  Returns false when already dead.
-  bool Kill();
+  bool Kill() override;
 
   /// Undo a virtual kill (Socket::ResumePair): bump the reconnect epoch —
   /// in-flight pre-kill messages are dropped by the epoch gate — and reset

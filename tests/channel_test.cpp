@@ -33,8 +33,8 @@ TEST(ChannelTest, TinyCreditPoolStillDeliversEverything) {
 
   EXPECT_EQ(server->stats().bytes_received, kTotal);
   EXPECT_EQ(VerifyPattern(in.data(), kTotal, 0, 7), kTotal);
-  EXPECT_EQ(client->channel().qp_stats().rnr_errors, 0u);
-  EXPECT_EQ(server->channel().qp_stats().rnr_errors, 0u);
+  EXPECT_EQ(client->rail(0).qp_stats().rnr_errors, 0u);
+  EXPECT_EQ(server->rail(0).qp_stats().rnr_errors, 0u);
 }
 
 TEST(ChannelTest, CreditsAreConservedAtQuiescence) {
@@ -51,10 +51,10 @@ TEST(ChannelTest, CreditsAreConservedAtQuiescence) {
   }
   // All traffic acknowledged: both sides should have their full view of
   // the peer's pool back (allowing credits still owed but unreported).
-  EXPECT_GE(client->channel().remote_credits() , opts.credits / 2);
-  EXPECT_GE(server->channel().remote_credits(), opts.credits / 2);
-  EXPECT_LE(client->channel().remote_credits(), opts.credits);
-  EXPECT_LE(server->channel().remote_credits(), opts.credits);
+  EXPECT_GE(client->rail(0).remote_credits() , opts.credits / 2);
+  EXPECT_GE(server->rail(0).remote_credits(), opts.credits / 2);
+  EXPECT_LE(client->rail(0).remote_credits(), opts.credits);
+  EXPECT_LE(server->rail(0).remote_credits(), opts.credits);
 }
 
 TEST(ChannelTest, StandaloneCreditMessagesFlowWhenTrafficIsOneSided) {
@@ -78,7 +78,7 @@ TEST(ChannelTest, StandaloneCreditMessagesFlowWhenTrafficIsOneSided) {
   sim.Run();
 
   EXPECT_EQ(VerifyPattern(in.data(), kTotal, 0, 8), kTotal);
-  EXPECT_GT(server->channel().credit_messages_sent(), 0u);
+  EXPECT_GT(server->rail(0).credit_messages_sent(), 0u);
 }
 
 TEST(ChannelTest, TooSmallPoolIsRejected) {
@@ -99,12 +99,12 @@ TEST(ChannelTest, ControlTrafficCountsAppearInQpStats) {
   sim.Run();
 
   // Server sent at least one ADVERT; client sent exactly one data WWI.
-  EXPECT_GE(server->channel().qp_stats().sends_posted, 1u);
-  EXPECT_GE(client->channel().qp_stats().sends_posted, 1u);
-  EXPECT_GE(client->channel().qp_stats().payload_bytes_sent, 4096u);
+  EXPECT_GE(server->rail(0).qp_stats().sends_posted, 1u);
+  EXPECT_GE(client->rail(0).qp_stats().sends_posted, 1u);
+  EXPECT_GE(client->rail(0).qp_stats().payload_bytes_sent, 4096u);
   // Wire accounting includes header overhead.
-  EXPECT_GT(client->channel().qp_stats().wire_bytes_sent,
-            client->channel().qp_stats().payload_bytes_sent);
+  EXPECT_GT(client->rail(0).qp_stats().wire_bytes_sent,
+            client->rail(0).qp_stats().payload_bytes_sent);
 }
 
 }  // namespace

@@ -96,8 +96,8 @@ TEST_P(CrossProfileTest, MixedWorkloadIntegrity) {
                                          server->rx_trace().events());
   EXPECT_TRUE(lemmas.ok()) << lemmas.Summary();
 
-  EXPECT_EQ(client->channel().qp_stats().rnr_errors, 0u);
-  EXPECT_EQ(server->channel().qp_stats().rnr_errors, 0u);
+  EXPECT_EQ(client->rail(0).qp_stats().rnr_errors, 0u);
+  EXPECT_EQ(server->rail(0).qp_stats().rnr_errors, 0u);
 }
 
 std::vector<CrossParams> CrossMatrix() {

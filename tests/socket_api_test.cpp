@@ -3,6 +3,7 @@
 // with interleaved closes.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/pattern.hpp"
@@ -34,6 +35,35 @@ TEST(SocketApi, ZeroLengthRecvThrows) {
   (void)b;
   std::vector<std::uint8_t> buf(64);
   EXPECT_THROW(a->Recv(buf.data(), 0), InvariantViolation);
+}
+
+// The rail accessor reaches a classic socket's dedicated channels only:
+// a muxed socket has none (its one rail is its MuxStream), and an index
+// past the provisioned rails is refused, not read out of bounds.
+TEST(SocketApi, RailAccessorRejectsMuxedSocketsAndMissingRails) {
+  Simulation sim(HardwareProfile::FdrInfiniBand(), 5, false);
+  StreamOptions opts;
+  opts.rails = 2;
+  auto [a, b] = sim.CreateConnectedPair(SocketType::kStream, opts);
+  (void)b;
+  const Socket& classic = *a;
+  ASSERT_EQ(classic.ProvisionedRails(), 2u);
+  EXPECT_TRUE(classic.rail(0).HasQueuePair());
+  EXPECT_TRUE(classic.rail(1).HasQueuePair());
+  EXPECT_THROW(classic.rail(2), InvariantViolation);
+  EXPECT_THROW(a->rail(2), InvariantViolation);
+
+  MuxGroup g0(sim.device(0), MuxOptions{});
+  MuxGroup g1(sim.device(1), MuxOptions{});
+  MuxGroup::Connect(g0, g1);
+  auto [m, n] = sim.CreateMuxedPair(g0, g1);
+  (void)n;
+  ASSERT_TRUE(m->Muxed());
+  ASSERT_EQ(m->ProvisionedRails(), 1u);
+  EXPECT_THROW(m->rail(0), InvariantViolation);
+  EXPECT_THROW(std::as_const(*m).rail(0), InvariantViolation);
+  EXPECT_NE(m->mux_stream(), nullptr);
+  EXPECT_EQ(a->mux_stream(), nullptr);
 }
 
 TEST(SocketApi, RegistrationCoversSubranges) {

@@ -257,9 +257,8 @@ Fingerprints RunGoldenWorkload(const GoldenConfig& cfg) {
     }
   } else {
     for (const Socket* s : {client, server}) {
-      channels.push_back(&s->channel());
-      for (std::size_t r = 1; r < s->effective_rails(); ++r) {
-        channels.push_back(&s->data_rail(r - 1));
+      for (std::size_t r = 0; r < s->effective_rails(); ++r) {
+        channels.push_back(&s->rail(r));
       }
     }
   }

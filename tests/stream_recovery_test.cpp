@@ -12,8 +12,11 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <memory>
+#include <ostream>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/pattern.hpp"
@@ -22,6 +25,7 @@
 #include "exs/engine/progress_engine.hpp"
 #include "exs/exs.hpp"
 #include "exs/invariant_checker.hpp"
+#include "exs/mux.hpp"
 #include "simnet/faults.hpp"
 #include "torture.hpp"
 
@@ -282,12 +286,53 @@ TEST(StreamRecoveryTest, PrunedSnapshotsAreDeregistered) {
 // Regression: a fault scheduled against an already-dead transport is a
 // guaranteed no-op — not a second flush, not a dangling callback.  Both
 // the direct API and the FaultInjector path must agree, and a kill
-// arriving after a resume must land on the *new* queue pairs.
-TEST(StreamRecoveryTest, KillOnDeadTransportIsNoOp) {
+// arriving after a resume must land on the *new* transport.  Swept over
+// the three ways a socket reaches the wire, since KillTransport and
+// TransportDead loop over whatever rails the socket holds: one dedicated
+// rail, four striped rails, and one MuxStream on a width-1 group.
+struct TransportWiring {
+  const char* name;
+  std::uint32_t rails;
+  bool muxed;
+};
+
+void PrintTo(const TransportWiring& w, std::ostream* os) { *os << w.name; }
+
+class StreamRecoveryKillTest
+    : public ::testing::TestWithParam<TransportWiring> {};
+
+/// What kills of `s` have flushed so far: the error-flushed work requests
+/// of its rails' queue pairs, or its group's virtual kills when muxed.
+std::uint64_t Flushed(Socket* s) {
+  if (s->Muxed()) return s->mux_stream()->group().stats().virtual_kills;
+  std::uint64_t flushed = 0;
+  for (std::size_t r = 0; r < s->effective_rails(); ++r) {
+    flushed += s->rail(r).qp_stats().flushed_wrs;
+  }
+  return flushed;
+}
+
+TEST_P(StreamRecoveryKillTest, KillOnDeadTransportIsNoOp) {
+  const TransportWiring& wiring = GetParam();
   Simulation sim(HardwareProfile::FdrInfiniBand(), /*seed=*/47,
                  /*carry_payload=*/true);
-  auto [client, server] =
-      sim.CreateConnectedPair(SocketType::kStream, RecoveryOpts());
+  StreamOptions opts = RecoveryOpts();
+  opts.rails = wiring.rails;
+  std::unique_ptr<MuxGroup> g0, g1;
+  std::pair<Socket*, Socket*> pair;
+  if (wiring.muxed) {
+    MuxOptions mopts;
+    mopts.width = 1;
+    g0 = std::make_unique<MuxGroup>(sim.device(0), mopts);
+    g1 = std::make_unique<MuxGroup>(sim.device(1), mopts);
+    MuxGroup::Connect(*g0, *g1);
+    pair = sim.CreateMuxedPair(*g0, *g1, opts);
+  } else {
+    pair = sim.CreateConnectedPair(SocketType::kStream, opts);
+  }
+  auto [client, server] = pair;
+  ASSERT_EQ(client->effective_rails(), wiring.rails);
+  ASSERT_EQ(client->Muxed(), wiring.muxed);
   client->EnableTracing();
   server->EnableTracing();
 
@@ -306,31 +351,50 @@ TEST(StreamRecoveryTest, KillOnDeadTransportIsNoOp) {
   plan.events.push_back(ev);          // lands after the resume: applies
   injector.Arm(plan);
 
-  // Manual kill first: both planned near-term kills then hit a corpse.
+  // Manual kill first: a second one, and both planned near-term kills,
+  // then hit a corpse and flush nothing.
   ASSERT_TRUE(client->KillTransport());
+  const std::uint64_t flushed = Flushed(client);
+  EXPECT_GT(flushed, 0u);
   EXPECT_FALSE(client->KillTransport());
+  EXPECT_EQ(Flushed(client), flushed);
   AwaitBothDead(sim, client, server);
   sim.RunFor(Microseconds(100));
   EXPECT_EQ(injector.KillsApplied(), 0u);
   EXPECT_EQ(injector.FaultsApplied(), 2u);
+  EXPECT_EQ(Flushed(client), flushed);
+  EXPECT_EQ(CounterValue(client, "recovery.transport_kills", "kills"), 1u);
 
   Socket::ResumePair(*client, *server);
+  EXPECT_FALSE(client->TransportDead());
+  EXPECT_FALSE(server->TransportDead());
   constexpr std::uint64_t kTotal = 96 * 1024;
   std::vector<std::uint8_t> out(kTotal), in(kTotal, 0);
   FillPattern(out.data(), out.size(), 0, 47);
   server->Recv(in.data(), kTotal, RecvFlags{.waitall = true});
   client->Send(out.data(), kTotal);
-  sim.Run();  // the third kill fires mid-run against the fresh QPs
+  sim.Run();  // the third kill fires against the revived transport
 
   EXPECT_EQ(injector.KillsApplied(), 1u);
+  EXPECT_EQ(CounterValue(client, "recovery.transport_kills", "kills"), 2u);
   AwaitBothDead(sim, client, server);
   Socket::ResumePair(*client, *server);
   sim.Run();
 
   EXPECT_EQ(VerifyPattern(in.data(), in.size(), 0, 47), in.size());
   EXPECT_EQ(server->stream_rx()->sequence(), kTotal);
+  EXPECT_EQ(client->effective_rails(), wiring.rails);
   ExpectCleanChecker(client, server);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Wiring, StreamRecoveryKillTest,
+    ::testing::Values(TransportWiring{"dedicated", 1, false},
+                      TransportWiring{"rails4", 4, false},
+                      TransportWiring{"mux1", 1, true}),
+    [](const ::testing::TestParamInfo<TransportWiring>& info) {
+      return std::string(info.param.name);
+    });
 
 // The resume-aware gap-free/duplicate-free rule: the receiver-side byte
 // continuity check runs *through* kill/resume markers unreset, so a
