@@ -39,15 +39,6 @@ enum class ProtocolMode {
 
 const char* ToString(ProtocolMode mode);
 
-/// How the sender spreads chunks across the data rails when
-/// StreamOptions::rails > 1.
-enum class RailScheduler : std::uint8_t {
-  kRoundRobin,           ///< cycle through sendable rails in index order
-  kShortestOutstanding,  ///< rail with the fewest un-completed bytes
-};
-
-const char* ToString(RailScheduler scheduler);
-
 struct StreamOptions {
   ProtocolMode mode = ProtocolMode::kDynamic;
 
@@ -77,9 +68,6 @@ struct StreamOptions {
   /// minimum of both endpoints' settings.  Ignored (clamped to 1) for
   /// SOCK_SEQPACKET and read-rendezvous sockets.
   std::uint32_t rails = 1;
-
-  /// Rail choice policy when rails > 1.
-  RailScheduler rail_scheduler = RailScheduler::kShortestOutstanding;
 
   /// Register send/receive buffers (and Sendv slices without a handle) on
   /// first use instead of requiring an explicit RegisterMemory() call.  An
