@@ -51,7 +51,7 @@ blast::BlastConfig BaseFor(const std::string& profile, const Args& args,
 std::vector<Point> RunProfile(const std::string& profile, const Args& args) {
   PrintBanner(std::cout, "Ext: multi-rail striping (" + profile + ")",
               "fixed sizes, 512 B WWI chunks, outstanding=8, "
-              "rails 1 vs 2 vs 4 (adaptive scheduler)",
+              "rails 1 vs 2 vs 4",
               args);
   Table table({"message size", "rails=1 Mb/s", "rails=2 Mb/s",
                "rails=4 Mb/s", "gain x2", "gain x4"});
