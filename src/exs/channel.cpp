@@ -57,12 +57,10 @@ void ControlChannel::Connect(ControlChannel& a, ControlChannel& b) {
     b.ResetForResume();
   }
   a.qp_ = std::make_unique<verbs::QueuePair>(*a.device_, *a.send_cq_,
-                                             *a.recv_cq_);
+                                             *a.recv_cq_, &a.qp_counters_);
   b.qp_ = std::make_unique<verbs::QueuePair>(*b.device_, *b.send_cq_,
-                                             *b.recv_cq_);
+                                             *b.recv_cq_, &b.qp_counters_);
   verbs::QueuePair::ConnectPair(*a.qp_, *b.qp_);
-  a.qp_->SetInstruments(a.qp_inst_);
-  b.qp_->SetInstruments(b.qp_inst_);
   a.qp_->SetErrorHandler([ch = &a](verbs::WcStatus s) { ch->MarkDead(s); });
   b.qp_->SetErrorHandler([ch = &b](verbs::WcStatus s) { ch->MarkDead(s); });
   // Pre-post the full pool on both sides before any traffic (§II-B: "each
@@ -145,10 +143,14 @@ void ControlChannel::PostSlotRecv(std::uint32_t slot) {
 }
 
 void ControlChannel::SetInstruments(metrics::TimeWeightedSeries* credits,
+                                    metrics::TimeWeightedSeries* inflight_wrs,
                                     metrics::Counter* credit_messages) {
   credit_series_ = credits;
-  credit_message_counter_ = credit_messages;
+  inflight_wr_series_ = inflight_wrs;
+  credit_messages_ =
+      credit_messages != nullptr ? credit_messages : &own_credit_messages_;
   SampleCredits();
+  SampleInflightWrs();
 }
 
 void ControlChannel::SampleCredits() {
@@ -156,14 +158,6 @@ void ControlChannel::SampleCredits() {
     credit_series_->Record(device_->scheduler().Now(),
                            static_cast<double>(remote_credits_));
   }
-}
-
-void ControlChannel::SetQpInstruments(const verbs::QueuePairInstruments& inst,
-                                      metrics::TimeWeightedSeries* inflight) {
-  qp_inst_ = inst;
-  inflight_wr_series_ = inflight;
-  if (qp_ != nullptr) qp_->SetInstruments(qp_inst_);
-  SampleInflightWrs();
 }
 
 void ControlChannel::SampleInflightWrs() {
@@ -266,6 +260,8 @@ void ControlChannel::EnqueueOrPost(const verbs::SendWorkRequest& wr) {
 
 void ControlChannel::FlushSendBatch() {
   if (pending_wrs_.empty()) return;
+  doorbell_batches_->Increment();
+  doorbell_wrs_->Add(pending_wrs_.size());
   // Posting into a killed QP is deliberate: each WR gets an immediate
   // flush completion, which keeps outstanding_wrs_ accounting sound.
   qp_->PostSendBatch(pending_wrs_);
@@ -433,10 +429,7 @@ void ControlChannel::MaybeSendStandaloneCredit() {
   if (owed_credits_ >= credits_ / 2 && remote_credits_ >= 1) {
     wire::ControlMessage msg;
     msg.type = static_cast<std::uint8_t>(wire::ControlType::kCredit);
-    ++credit_messages_sent_;
-    if (credit_message_counter_ != nullptr) {
-      credit_message_counter_->Increment();
-    }
+    credit_messages_->Increment();
     SendControl(msg);
   }
 }

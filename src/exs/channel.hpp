@@ -192,18 +192,14 @@ class ControlChannel : public ChannelEndpoint,
     callbacks_ = std::move(callbacks);
   }
 
-  /// Attach observability instruments: `credits` samples the send-credit
-  /// balance whenever it changes; `credit_messages` counts standalone
-  /// CREDIT messages.  Either may be null.
+  /// Attach the owner's instruments.  `credits` samples the send-credit
+  /// balance whenever it changes and `inflight_wrs` the outstanding
+  /// send-queue work requests; both are opt-in samplers and may be null.
+  /// Standalone CREDIT messages count into `credit_messages`, or into the
+  /// channel's own counter when it is null.
   void SetInstruments(metrics::TimeWeightedSeries* credits,
+                      metrics::TimeWeightedSeries* inflight_wrs,
                       metrics::Counter* credit_messages);
-
-  /// Attach per-queue-pair instruments ("rail<i>.*" in the registry) plus
-  /// a series sampling this channel's outstanding send-queue work
-  /// requests.  Must be called before Connect so the queue pair is born
-  /// instrumented; all pointers may be null.
-  void SetQpInstruments(const verbs::QueuePairInstruments& inst,
-                        metrics::TimeWeightedSeries* inflight_wrs);
 
   /// Can a normal message (control or data) be sent right now?  One credit
   /// is reserved for CREDIT messages; a dead transport can send nothing.
@@ -234,8 +230,15 @@ class ControlChannel : public ChannelEndpoint,
   /// any operation that must not reorder around them (SendControl,
   /// PostRead: RC FIFO order says control must not overtake batched data).
   /// 0 disables (the default): every post rings its own doorbell
-  /// immediately, timing bit-identical to pre-batching builds.
-  void SetSendBatching(std::uint32_t max_wrs) { batch_max_wrs_ = max_wrs; }
+  /// immediately, timing bit-identical to pre-batching builds.  Each ring
+  /// also counts in the owner's `batches` and `wrs`, which may aggregate
+  /// several channels.
+  void SetSendBatching(std::uint32_t max_wrs, metrics::Counter& batches,
+                       metrics::Counter& wrs) {
+    batch_max_wrs_ = max_wrs;
+    doorbell_batches_ = &batches;
+    doorbell_wrs_ = &wrs;
+  }
   /// Arm batched completion dispatch on both of this channel's CQs: up to
   /// `max_n` completions per CPU pass, handlers clumped at one instant
   /// (verbs::CompletionQueue::SetDispatchBatch).
@@ -276,10 +279,16 @@ class ControlChannel : public ChannelEndpoint,
   /// conservation law the mux invariant checker audits per slot.
   std::uint32_t owed_credits() const { return owed_credits_; }
   /// Whether the channel owns a queue pair yet (false before Connect);
-  /// qp_stats()/AckReturnDelay() are only valid when this holds.
+  /// AckReturnDelay() is only valid when this holds.
   bool HasQueuePair() const { return qp_ != nullptr; }
-  const verbs::QueuePairStats& qp_stats() const { return qp_->stats(); }
-  std::uint64_t credit_messages_sent() const { return credit_messages_sent_; }
+  /// The counts of every queue pair this channel has had, across
+  /// reconnects: the block each of them records into.
+  verbs::QueuePairCounters& qp_counters() { return qp_counters_; }
+  verbs::QueuePairStats qp_stats() const { return qp_counters_.Stats(); }
+  /// The standalone CREDIT messages counted where SetInstruments said.
+  std::uint64_t credit_messages_sent() const {
+    return credit_messages_->value();
+  }
 
  private:
   void FlushSendBatch();
@@ -306,6 +315,7 @@ class ControlChannel : public ChannelEndpoint,
   bool slots_reserved_ = false;
   std::unique_ptr<verbs::CompletionQueue> send_cq_;
   std::unique_ptr<verbs::CompletionQueue> recv_cq_;
+  verbs::QueuePairCounters qp_counters_;
   std::unique_ptr<verbs::QueuePair> qp_;
   /// Killed queue pairs from before a reconnect, kept alive so scheduler
   /// closures they captured stay valid; their late completions are dropped
@@ -322,14 +332,15 @@ class ControlChannel : public ChannelEndpoint,
 
   std::uint32_t remote_credits_ = 0;  ///< peer receives we may consume
   std::uint32_t owed_credits_ = 0;    ///< reposted receives not yet reported
-  std::uint64_t credit_messages_sent_ = 0;
+  metrics::Counter own_credit_messages_;
+  metrics::Counter* credit_messages_ = &own_credit_messages_;
   metrics::TimeWeightedSeries* credit_series_ = nullptr;
-  metrics::Counter* credit_message_counter_ = nullptr;
-  verbs::QueuePairInstruments qp_inst_;
   metrics::TimeWeightedSeries* inflight_wr_series_ = nullptr;
   std::uint64_t outstanding_wrs_ = 0;  ///< posted sends awaiting completion
 
   std::uint32_t batch_max_wrs_ = 0;  ///< 0 = doorbell batching off
+  metrics::Counter* doorbell_batches_ = nullptr;  ///< set with batching
+  metrics::Counter* doorbell_wrs_ = nullptr;
   /// Data WRs built but not yet posted (doorbell batching).  Always empty
   /// when batch_max_wrs_ == 0.
   std::vector<verbs::SendWorkRequest> pending_wrs_;

@@ -15,15 +15,12 @@ Acceptor::Acceptor(verbs::Device& device, ProgressEngine& engine,
     qp_pool_ = std::make_unique<QpPool>(device, *options.mux, registry);
   }
   if (registry != nullptr) {
-    refusals_counter_ =
-        &registry->GetCounter("pool.admission_refusals", "connections");
+    registry->Bind("pool.admission_refusals", "connections",
+                   admission_refusals_);
   }
 }
 
-void Acceptor::Refuse() {
-  ++admission_refusals_;
-  if (refusals_counter_ != nullptr) refusals_counter_->Increment();
-}
+void Acceptor::Refuse() { admission_refusals_.Increment(); }
 
 std::unique_ptr<Socket> Acceptor::Admit(verbs::Device& device,
                                         SocketType type,

@@ -59,7 +59,9 @@ class Acceptor {
   ControlSlotPool& control_slots() { return slots_; }
   /// The shared-QP pool, or null when AcceptorOptions::mux was unset.
   QpPool* qp_pool() { return qp_pool_.get(); }
-  std::uint64_t AdmissionRefusals() const { return admission_refusals_; }
+  std::uint64_t AdmissionRefusals() const {
+    return admission_refusals_.value();
+  }
 
  private:
   std::unique_ptr<Socket> Admit(verbs::Device& device, SocketType type,
@@ -73,8 +75,7 @@ class Acceptor {
   BufferPool pool_;
   ControlSlotPool slots_;
   std::unique_ptr<QpPool> qp_pool_;
-  std::uint64_t admission_refusals_ = 0;
-  metrics::Counter* refusals_counter_ = nullptr;
+  metrics::Counter admission_refusals_;
 };
 
 }  // namespace exs::engine

@@ -27,9 +27,8 @@ BufferPool::BufferPool(verbs::Device& device, BufferPoolOptions options,
     bytes_leased_series_ = &registry->GetSeries("pool.bytes_leased", "bytes");
     leases_active_series_ = &registry->GetSeries("pool.leases_active",
                                                  "leases");
-    granted_counter_ = &registry->GetCounter("pool.leases_granted", "leases");
-    reclaimed_counter_ =
-        &registry->GetCounter("pool.leases_reclaimed", "leases");
+    registry->Bind("pool.leases_granted", "leases", leases_granted_);
+    registry->Bind("pool.leases_reclaimed", "leases", leases_reclaimed_);
   }
   Sample();
 }
@@ -51,8 +50,7 @@ RingLease BufferPool::Acquire() {
   leased_[index] = true;
   bytes_leased_ += options_.lease_bytes;
   if (bytes_leased_ > peak_bytes_leased_) peak_bytes_leased_ = bytes_leased_;
-  ++leases_granted_;
-  if (granted_counter_ != nullptr) granted_counter_->Increment();
+  leases_granted_.Increment();
   double fill = static_cast<double>(bytes_leased_) /
                 static_cast<double>(options_.pool_bytes);
   if (fill >= options_.high_watermark) admission_closed_ = true;
@@ -76,8 +74,7 @@ void BufferPool::Release(std::size_t index) {
   leased_[index] = false;
   free_.push_back(index);
   bytes_leased_ -= options_.lease_bytes;
-  ++leases_reclaimed_;
-  if (reclaimed_counter_ != nullptr) reclaimed_counter_->Increment();
+  leases_reclaimed_.Increment();
   double fill = static_cast<double>(bytes_leased_) /
                 static_cast<double>(options_.pool_bytes);
   if (admission_closed_ && fill <= options_.low_watermark) {

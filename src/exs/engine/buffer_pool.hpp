@@ -37,7 +37,7 @@ struct BufferPoolOptions {
 
 class BufferPool {
  public:
-  /// `registry` (optional) receives the pool.* instruments.
+  /// `registry` (optional) names the pool.* instruments.
   BufferPool(verbs::Device& device, BufferPoolOptions options,
              metrics::Registry* registry = nullptr);
 
@@ -62,8 +62,8 @@ class BufferPool {
   std::uint64_t BytesLeased() const { return bytes_leased_; }
   std::uint64_t PeakBytesLeased() const { return peak_bytes_leased_; }
   std::size_t LeasesActive() const { return total_leases_ - free_.size(); }
-  std::uint64_t LeasesGranted() const { return leases_granted_; }
-  std::uint64_t LeasesReclaimed() const { return leases_reclaimed_; }
+  std::uint64_t LeasesGranted() const { return leases_granted_.value(); }
+  std::uint64_t LeasesReclaimed() const { return leases_reclaimed_.value(); }
 
  private:
   void Release(std::size_t index);
@@ -78,15 +78,13 @@ class BufferPool {
   std::vector<bool> leased_;       ///< double-release guard
   std::uint64_t bytes_leased_ = 0;
   std::uint64_t peak_bytes_leased_ = 0;
-  std::uint64_t leases_granted_ = 0;
-  std::uint64_t leases_reclaimed_ = 0;
+  metrics::Counter leases_granted_;
+  metrics::Counter leases_reclaimed_;
   bool admission_closed_ = false;  ///< watermark hysteresis state
   std::shared_ptr<void> liveness_ = std::make_shared<char>(0);
 
   metrics::TimeWeightedSeries* bytes_leased_series_ = nullptr;
   metrics::TimeWeightedSeries* leases_active_series_ = nullptr;
-  metrics::Counter* granted_counter_ = nullptr;
-  metrics::Counter* reclaimed_counter_ = nullptr;
 };
 
 }  // namespace exs::engine

@@ -11,15 +11,13 @@ ProgressEngine::ProgressEngine(simnet::Cpu& cpu,
   EXS_CHECK_MSG(options_.max_events_per_tick > 0, "tick budget must be > 0");
   EXS_CHECK_MSG(options_.quantum > 0, "DRR quantum must be > 0");
   if (registry != nullptr) {
-    ticks_counter_ = &registry->GetCounter("engine.ticks", "ticks");
-    events_counter_ =
-        &registry->GetCounter("engine.events_dispatched", "events");
+    registry->Bind("engine.ticks", "ticks", ticks_);
+    registry->Bind("engine.events_dispatched", "events", events_dispatched_);
+    registry->Bind("engine.tick_duration", "ps", tick_duration_);
+    registry->Bind("engine.sched_delay", "ps", sched_delay_);
     ready_series_ = &registry->GetSeries("engine.ready_depth", "sockets");
     registered_series_ =
         &registry->GetSeries("engine.sockets_registered", "sockets");
-    tick_duration_hist_ =
-        &registry->GetHistogram("engine.tick_duration", "ps");
-    sched_delay_hist_ = &registry->GetHistogram("engine.sched_delay", "ps");
   }
 }
 
@@ -89,9 +87,7 @@ void ProgressEngine::ScheduleTick() {
   SimDuration cost =
       options_.tick_overhead +
       static_cast<SimDuration>(last_tick_events_) * options_.per_event_cpu;
-  if (tick_duration_hist_ != nullptr) {
-    tick_duration_hist_->Record(static_cast<std::uint64_t>(cost));
-  }
+  tick_duration_.Record(static_cast<std::uint64_t>(cost));
   cpu_->Submit(cost, [this] {
     tick_scheduled_ = false;
     Tick();
@@ -121,8 +117,7 @@ std::size_t ProgressEngine::Serve(Entry& entry, std::size_t budget) {
 }
 
 void ProgressEngine::Tick() {
-  ++ticks_;
-  if (ticks_counter_ != nullptr) ticks_counter_->Increment();
+  ticks_.Increment();
   std::size_t budget = options_.max_events_per_tick;
   // Each pass serves the head socket one quantum and rotates it to the
   // tail while it still has events — classic DRR over the ready-list.
@@ -138,16 +133,13 @@ void ProgressEngine::Tick() {
     // (or at the tail since its last quantum) before being served.
     const auto waited = static_cast<std::uint64_t>(
         cpu_->scheduler().Now() - entry.ready_since);
-    if (sched_delay_hist_ != nullptr) sched_delay_hist_->Record(waited);
-    if (entry.sched_delay != nullptr) entry.sched_delay->Record(waited);
+    sched_delay_.Record(waited);
+    entry.sched_delay->Record(waited);
     serving_ = &entry;
     std::size_t dispatched = Serve(entry, budget);
     serving_ = nullptr;
     budget -= dispatched;
-    events_dispatched_ += dispatched;
-    if (events_counter_ != nullptr) {
-      events_counter_->Add(dispatched);
-    }
+    events_dispatched_.Add(dispatched);
     if (entry.dead) {
       // Unregistered from inside its own handler: drop the detached entry
       // now that nothing references it.  Its remaining events stay queued

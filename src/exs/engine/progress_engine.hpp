@@ -45,7 +45,7 @@ class ProgressEngine {
  public:
   using EventHandler = std::function<void(Socket&, const Event&)>;
 
-  /// `registry` (optional) receives the engine.* instruments.
+  /// `registry` (optional) names the engine.* instruments.
   ProgressEngine(simnet::Cpu& cpu, ProgressEngineOptions options,
                  metrics::Registry* registry = nullptr);
 
@@ -67,8 +67,8 @@ class ProgressEngine {
 
   std::size_t RegisteredCount() const { return entries_.size(); }
   std::size_t ReadyCount() const { return ready_.size(); }
-  std::uint64_t TicksRun() const { return ticks_; }
-  std::uint64_t EventsDispatched() const { return events_dispatched_; }
+  std::uint64_t TicksRun() const { return ticks_.value(); }
+  std::uint64_t EventsDispatched() const { return events_dispatched_.value(); }
 
  private:
   struct Entry {
@@ -102,17 +102,15 @@ class ProgressEngine {
   std::deque<Socket*> ready_;
   bool tick_scheduled_ = false;
   std::size_t last_tick_events_ = 0;  ///< charged to the next tick's cost
-  std::uint64_t ticks_ = 0;
-  std::uint64_t events_dispatched_ = 0;
 
-  metrics::Counter* ticks_counter_ = nullptr;
-  metrics::Counter* events_counter_ = nullptr;
+  metrics::Counter ticks_;
+  metrics::Counter events_dispatched_;
+  /// Modeled CPU cost charged for each tick (overhead + prior work).
+  metrics::Histogram tick_duration_;
+  /// Ready→served wait across all sockets (per-socket copies in Entry).
+  metrics::Histogram sched_delay_;
   metrics::TimeWeightedSeries* ready_series_ = nullptr;
   metrics::TimeWeightedSeries* registered_series_ = nullptr;
-  /// Modeled CPU cost charged for each tick (overhead + prior work).
-  metrics::Histogram* tick_duration_hist_ = nullptr;
-  /// Ready→served wait across all sockets (per-socket copies in Entry).
-  metrics::Histogram* sched_delay_hist_ = nullptr;
 };
 
 }  // namespace exs::engine

@@ -53,14 +53,15 @@ class QpPool {
   std::size_t LiveStreams() const {
     return group_.stats().streams_attached - group_.stats().streams_detached;
   }
-  std::uint64_t AdmissionRefusals() const { return admission_refusals_; }
+  std::uint64_t AdmissionRefusals() const {
+    return admission_refusals_.value();
+  }
   const QpPoolOptions& options() const { return options_; }
 
  private:
   QpPoolOptions options_;
   MuxGroup group_;
-  std::uint64_t admission_refusals_ = 0;
-  metrics::Counter* refusals_counter_ = nullptr;
+  metrics::Counter admission_refusals_;
 };
 
 }  // namespace exs::engine

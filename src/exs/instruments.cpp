@@ -98,16 +98,22 @@ constexpr Binding<SocketInstruments> kMuxSchema[] = {
     {"mux.parks", "events", &SocketInstruments::mux_parks},
 };
 
-/// Field names of rail<i>.*; kRailNames spells out the full names.
+/// Field names of rail<i>.*, from the socket's RailInstruments and from
+/// the rail channel's queue-pair block; RailNames spells out the full
+/// names.
 constexpr Binding<RailInstruments> kRailSchema[] = {
-    {"completion_latency", "ps", &RailInstruments::completion_latency},
     {"hol_wait", "ps", &RailInstruments::hol_wait},
     {"inflight_wrs", "wrs", &RailInstruments::inflight_wrs},
-    {"messages_delivered", "messages", &RailInstruments::messages_delivered},
-    {"payload_bytes_sent", "bytes", &RailInstruments::payload_bytes_sent},
-    {"recvs_posted", "wrs", &RailInstruments::recvs_posted},
-    {"sends_posted", "wrs", &RailInstruments::sends_posted},
-    {"wire_bytes_sent", "bytes", &RailInstruments::wire_bytes_sent},
+};
+
+using verbs::QueuePairCounters;
+constexpr Binding<QueuePairCounters> kRailQpSchema[] = {
+    {"completion_latency", "ps", &QueuePairCounters::completion_latency},
+    {"messages_delivered", "messages", &QueuePairCounters::messages_delivered},
+    {"payload_bytes_sent", "bytes", &QueuePairCounters::payload_bytes_sent},
+    {"recvs_posted", "wrs", &QueuePairCounters::recvs_posted},
+    {"sends_posted", "wrs", &QueuePairCounters::sends_posted},
+    {"wire_bytes_sent", "bytes", &QueuePairCounters::wire_bytes_sent},
 };
 
 template <typename Owner, std::size_t N>
@@ -118,11 +124,11 @@ constexpr bool NamesSorted(const Binding<Owner> (&schema)[N]) {
                         });
 }
 static_assert(NamesSorted(kSocketSchema) && NamesSorted(kMuxSchema) &&
-                  NamesSorted(kRailSchema),
+                  NamesSorted(kRailSchema) && NamesSorted(kRailQpSchema),
               "keep each schema table in name order");
 
-/// "rail<i>.<field>" for every rail and kRailSchema field, spelled out at
-/// compile time so the registry can bind them as static names.
+/// "rail<i>.<field>" for every rail and field of a rail schema, spelled
+/// out at compile time so the registry can bind them as static names.
 struct RailName {
   char text[32] = {};
   std::size_t size = 0;
@@ -134,20 +140,23 @@ struct RailName {
 };
 
 static_assert(kMaxRails <= 100, "rail names carry at most two digits");
-constexpr auto kRailNames = [] {
-  std::array<std::array<RailName, std::size(kRailSchema)>, kMaxRails> names;
+template <typename Owner, std::size_t N>
+constexpr auto RailNames(const Binding<Owner> (&schema)[N]) {
+  std::array<std::array<RailName, N>, kMaxRails> names;
   for (std::size_t r = 0; r < kMaxRails; ++r) {
-    for (std::size_t f = 0; f < std::size(kRailSchema); ++f) {
+    for (std::size_t f = 0; f < N; ++f) {
       RailName& n = names[r][f];
       n.Append("rail");
       if (r >= 10) n.text[n.size++] = static_cast<char>('0' + r / 10);
       n.text[n.size++] = static_cast<char>('0' + r % 10);
       n.Append(".");
-      n.Append(kRailSchema[f].name);
+      n.Append(schema[f].name);
     }
   }
   return names;
-}();
+}
+constexpr auto kRailNames = RailNames(kRailSchema);
+constexpr auto kRailQpNames = RailNames(kRailQpSchema);
 
 /// Entries `schema` adds to each table, in Registry::Reserve's order.
 template <typename Owner, std::size_t N>
@@ -170,15 +179,17 @@ void BindOne(metrics::Registry& registry, std::string_view name,
 
 void BindSocketInstruments(metrics::Registry& registry,
                            SocketInstruments& inst, bool muxed,
-                           std::span<RailInstruments> rails) {
-  EXS_CHECK_MSG(rails.size() <= kMaxRails,
+                           std::size_t rails) {
+  EXS_CHECK_MSG(rails <= kMaxRails,
                 "at most " << kMaxRails << " rails have instrument names");
   constexpr auto kFixed = KindCounts(kSocketSchema);
   constexpr auto kMux = KindCounts(kMuxSchema);
   constexpr auto kRail = KindCounts(kRailSchema);
+  constexpr auto kRailQp = KindCounts(kRailQpSchema);
   std::array<std::size_t, 4> total{};
   for (std::size_t k = 0; k < total.size(); ++k) {
-    total[k] = kFixed[k] + (muxed ? kMux[k] : 0) + rails.size() * kRail[k];
+    total[k] = kFixed[k] + (muxed ? kMux[k] : 0) +
+               rails * (kRail[k] + kRailQp[k]);
   }
   registry.Reserve(total[0], total[1], total[2], total[3]);
 
@@ -186,10 +197,17 @@ void BindSocketInstruments(metrics::Registry& registry,
   if (muxed) {
     for (const auto& b : kMuxSchema) BindOne(registry, b.name, b, inst);
   }
-  for (std::size_t r = 0; r < rails.size(); ++r) {
-    for (std::size_t f = 0; f < std::size(kRailSchema); ++f) {
-      BindOne(registry, kRailNames[r][f].view(), kRailSchema[f], rails[r]);
-    }
+}
+
+void BindRailInstruments(metrics::Registry& registry, std::size_t rail,
+                         RailInstruments& inst, verbs::QueuePairCounters& qp) {
+  EXS_CHECK_MSG(rail < kMaxRails,
+                "at most " << kMaxRails << " rails have instrument names");
+  for (std::size_t f = 0; f < std::size(kRailSchema); ++f) {
+    BindOne(registry, kRailNames[rail][f].view(), kRailSchema[f], inst);
+  }
+  for (std::size_t f = 0; f < std::size(kRailQpSchema); ++f) {
+    BindOne(registry, kRailQpNames[rail][f].view(), kRailQpSchema[f], qp);
   }
 }
 

@@ -13,14 +13,14 @@
 // and the paper artefact each one explains are catalogued in
 // docs/OBSERVABILITY.md.
 //
-// Bound instruments never move: channels, queue pairs, mux streams and the
-// device keep pointers to them, so neither struct is copyable or movable.
+// Bound instruments never move: channels and mux streams keep pointers to
+// them, so neither struct is copyable or movable.
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "common/metrics.hpp"
+#include "verbs/queue_pair.hpp"
 
 namespace exs {
 
@@ -96,30 +96,29 @@ struct SocketInstruments {
   metrics::Counter mux_parks;
 };
 
-/// One rail's queue-pair telemetry ("rail<i>.*"): the verbs
-/// QueuePairStats counters as named instruments, the channel's
-/// outstanding-WR series, and the stripe reorder buffer's head-of-line
-/// wait for chunks that arrived on this rail.
+/// The socket-side half of one rail's telemetry ("rail<i>.*"): the
+/// channel's outstanding-WR series and the stripe reorder buffer's
+/// head-of-line wait for chunks that arrived on this rail.  The rest of
+/// rail<i>.* is the rail channel's queue-pair counter block.
 struct RailInstruments {
   RailInstruments() = default;
   RailInstruments(const RailInstruments&) = delete;
   RailInstruments& operator=(const RailInstruments&) = delete;
 
-  metrics::Counter sends_posted;
-  metrics::Counter recvs_posted;
-  metrics::Counter payload_bytes_sent;
-  metrics::Counter wire_bytes_sent;
-  metrics::Counter messages_delivered;
-  metrics::Histogram completion_latency;  ///< ps, post -> send WC
   metrics::TimeWeightedSeries inflight_wrs;
   metrics::Histogram hol_wait;  ///< ps behind an earlier stripe sequence
 };
 
-/// Name a socket's instruments in `registry`: every fixed one, the mux.*
-/// pair when `muxed`, and rail<i>.* for each entry i of `rails` (at most
-/// kMaxRails).
+/// Name a socket's fixed instruments in `registry`, plus the mux.* pair
+/// when `muxed`, and reserve room for `rails` rails' names (at most
+/// kMaxRails), which BindRailInstruments then adds.
 void BindSocketInstruments(metrics::Registry& registry,
                            SocketInstruments& inst, bool muxed,
-                           std::span<RailInstruments> rails);
+                           std::size_t rails);
+
+/// Name rail `rail`'s instruments: `inst` and the queue-pair counters `qp`
+/// of the channel carrying the rail.
+void BindRailInstruments(metrics::Registry& registry, std::size_t rail,
+                         RailInstruments& inst, verbs::QueuePairCounters& qp);
 
 }  // namespace exs

@@ -45,7 +45,7 @@ Socket::Socket(verbs::Device& device, SocketType type, StreamOptions options,
   muxed_ = wiring_.mux_stream != nullptr;
   const std::size_t rails = muxed_ ? 0 : options_.rails;
   if (rails > 0) rail_inst_ = std::make_unique<RailInstruments[]>(rails);
-  BindSocketInstruments(registry_, inst_, muxed_, {rail_inst_.get(), rails});
+  BindSocketInstruments(registry_, inst_, muxed_, rails);
   rails_.reserve(muxed_ ? 1 : rails);
   if (muxed_) {
     EXS_CHECK_MSG(type_ == SocketType::kStream &&
@@ -66,10 +66,12 @@ Socket::Socket(verbs::Device& device, SocketType type, StreamOptions options,
     // can draw from them.
     auto channel = std::make_unique<ControlChannel>(
         device, options_.credits, wiring_.shared_slots, wiring_.slots_reserved);
-    if (r == 0) {
-      channel->SetInstruments(&inst_.send_credits, &inst_.credit_messages_sent);
-    }
-    InstrumentRail(r, *channel);
+    channel->SetInstruments(r == 0 ? &inst_.send_credits : nullptr,
+                            &rail_inst_[r].inflight_wrs,
+                            r == 0 ? &inst_.credit_messages_sent : nullptr);
+    // rail<i>.* names the channel's queue-pair counters directly: one
+    // block per channel, covering every queue pair it connects.
+    BindRailInstruments(registry_, r, rail_inst_[r], channel->qp_counters());
     rails_.push_back(std::move(channel));
   }
   // Hot-path batching (StreamOptions::batching).  Doorbell batching needs
@@ -83,8 +85,10 @@ Socket::Socket(verbs::Device& device, SocketType type, StreamOptions options,
                   "doorbell batching requires a classic stream socket");
     EXS_CHECK_MSG(options_.batching.max_wrs >= 1,
                   "doorbell batching needs max_wrs >= 1");
+    // The doorbell.* pair aggregates every rail's rings.
     for (std::size_t r = 0; r < rails; ++r) {
-      rail(r).SetSendBatching(options_.batching.max_wrs);
+      rail(r).SetSendBatching(options_.batching.max_wrs,
+                              inst_.doorbell_batches, inst_.doorbell_wrs);
     }
   }
   if (options_.batching.cq_drain > 1) {
@@ -135,27 +139,6 @@ void Socket::EnableChunkSpans(spans::SpanCollector* collector) {
   span_rx_endpoint_ = collector->RegisterEndpoint(name_ + ".rx");
   tx_->SetSpanCollector(collector, span_tx_endpoint_);
   rx_->SetSpanCollector(collector, span_rx_endpoint_);
-}
-
-void Socket::InstrumentRail(std::size_t rail, ControlChannel& channel) {
-  // Per-queue-pair telemetry: the verbs QueuePairStats counters mirror
-  // into the rail's named instruments, so per-rail activity shows up in
-  // the metrics JSON and — via the inflight_wrs series — as counter
-  // tracks in the Perfetto timeline export.
-  RailInstruments& r = rail_inst_[rail];
-  verbs::QueuePairInstruments qp;
-  qp.sends_posted = &r.sends_posted;
-  qp.recvs_posted = &r.recvs_posted;
-  qp.payload_bytes_sent = &r.payload_bytes_sent;
-  qp.wire_bytes_sent = &r.wire_bytes_sent;
-  qp.messages_delivered = &r.messages_delivered;
-  qp.completion_latency = &r.completion_latency;
-  // Doorbell batching aggregates socket-wide: every rail shares the
-  // doorbell.* counters, so the socket's achieved batch depth is simply
-  // doorbell.wrs_batched / doorbell.batches.
-  qp.doorbells = &inst_.doorbell_batches;
-  qp.batched_wrs = &inst_.doorbell_wrs;
-  channel.SetQpInstruments(qp, &r.inflight_wrs);
 }
 
 StreamContext Socket::MakeContext(TraceLog* trace) {

@@ -183,12 +183,12 @@ class Socket : public simnet::TransportKillTarget {
   void EnableTracing(std::size_t capacity = 0) {
     tx_trace_.SetCapacity(capacity);
     rx_trace_.SetCapacity(capacity);
-    // Surface capacity drops in the metrics snapshot so a truncated trace
-    // is visible without polling dropped() (see docs/OBSERVABILITY.md).
-    tx_trace_.SetDropCounter(
-        &registry_.GetCounter("trace.dropped_tx", "events"));
-    rx_trace_.SetDropCounter(
-        &registry_.GetCounter("trace.dropped_rx", "events"));
+    if (!tx_trace_.enabled()) {
+      // Surface capacity drops in the metrics snapshot so a truncated
+      // trace is visible without polling dropped() (docs/OBSERVABILITY.md).
+      tx_trace_.BindDropCounter(registry_, "trace.dropped_tx");
+      rx_trace_.BindDropCounter(registry_, "trace.dropped_rx");
+    }
     tx_trace_.Enable();
     rx_trace_.Enable();
   }
@@ -271,8 +271,6 @@ class Socket : public simnet::TransportKillTarget {
   /// First rail death of a (possibly multi-rail) transport kill: trace
   /// markers on both halves, one kError event, the kill counter.
   void OnTransportFatal(verbs::WcStatus status);
-  /// Attach the "rail<i>.*" instruments to the channel carrying that rail.
-  void InstrumentRail(std::size_t rail, ControlChannel& channel);
   /// Connect (or, after a kill, reconnect) the first `rails` dedicated
   /// rails of two classic sockets pairwise.
   static void ConnectRails(Socket& a, Socket& b, std::size_t rails);

@@ -104,18 +104,19 @@ class TraceLog {
   /// sound on a truncated log, they just see a shorter run.
   void SetCapacity(std::size_t capacity) { capacity_ = capacity; }
   std::size_t capacity() const { return capacity_; }
-  std::uint64_t dropped() const { return dropped_; }
+  std::uint64_t dropped() const { return dropped_.value(); }
 
-  /// Mirror the capacity-drop count into a registry counter so truncation
-  /// is visible in metrics snapshots (JSON/CSV), not only to code that
-  /// polls dropped().  May be null to detach.
-  void SetDropCounter(metrics::Counter* counter) { drop_counter_ = counter; }
+  /// Name the capacity-drop count `name` in `registry`, so truncation is
+  /// visible in metrics snapshots (JSON/CSV), not only to code that polls
+  /// dropped().  The log must then stay put while the registry is read.
+  void BindDropCounter(metrics::Registry& registry, std::string_view name) {
+    registry.Bind(name, "events", dropped_);
+  }
 
   void Record(const TraceEvent& event) {
     if (!enabled_) return;
     if (capacity_ != 0 && events_.size() >= capacity_) {
-      ++dropped_;
-      if (drop_counter_ != nullptr) drop_counter_->Increment();
+      dropped_.Increment();
       return;
     }
     events_.push_back(event);
@@ -124,7 +125,7 @@ class TraceLog {
   const std::vector<TraceEvent>& events() const { return events_; }
   void Clear() {
     events_.clear();
-    dropped_ = 0;
+    dropped_ = metrics::Counter{};
   }
 
   /// Human-readable dump (debugging aid and example output).
@@ -133,8 +134,7 @@ class TraceLog {
  private:
   bool enabled_ = false;
   std::size_t capacity_ = 0;
-  std::uint64_t dropped_ = 0;
-  metrics::Counter* drop_counter_ = nullptr;
+  metrics::Counter dropped_;
   std::vector<TraceEvent> events_;
 };
 

@@ -32,9 +32,33 @@ const char* ToString(WcOpcode opcode) {
   return "?";
 }
 
+QueuePairStats QueuePairCounters::Stats() const {
+  return {.sends_posted = sends_posted.value(),
+          .recvs_posted = recvs_posted.value(),
+          .payload_bytes_sent = payload_bytes_sent.value(),
+          .wire_bytes_sent = wire_bytes_sent.value(),
+          .messages_delivered = messages_delivered.value(),
+          .rnr_errors = rnr_errors.value(),
+          .remote_access_errors = remote_access_errors.value(),
+          .length_errors = length_errors.value(),
+          .srq_recvs_consumed = srq_recvs_consumed.value(),
+          .flushed_wrs = flushed_wrs.value(),
+          .doorbells = doorbells.value(),
+          .batched_wrs = batched_wrs.value(),
+          .gather_wrs = gather_wrs.value(),
+          .sge_entries_posted = sge_entries_posted.value(),
+          .sge_bytes_posted = sge_bytes_posted.value()};
+}
+
 QueuePair::QueuePair(Device& device, CompletionQueue& send_cq,
-                     CompletionQueue& recv_cq)
-    : device_(&device), send_cq_(&send_cq), recv_cq_(&recv_cq) {
+                     CompletionQueue& recv_cq, QueuePairCounters* counters)
+    : device_(&device),
+      send_cq_(&send_cq),
+      recv_cq_(&recv_cq),
+      own_counters_(counters == nullptr
+                        ? std::make_unique<QueuePairCounters>()
+                        : nullptr),
+      counters_(counters == nullptr ? own_counters_.get() : counters) {
   device.NoteQueuePairCreated();
 }
 
@@ -76,10 +100,8 @@ void QueuePair::PostSend(const SendWorkRequest& wr) {
 void QueuePair::PostSendBatch(std::span<const SendWorkRequest> wrs) {
   if (wrs.empty()) return;
   const auto& profile = device_->profile();
-  ++stats_.doorbells;
-  stats_.batched_wrs += wrs.size();
-  if (inst_.doorbells) inst_.doorbells->Increment();
-  if (inst_.batched_wrs) inst_.batched_wrs->Add(wrs.size());
+  counters_->doorbells.Increment();
+  counters_->batched_wrs.Add(wrs.size());
   if (profile.doorbell_cost == 0 && profile.per_wr_cost == 0) {
     // Profile does not decompose the doorbell: a batch costs exactly what
     // N single posts would, so batching changes no timing.
@@ -110,7 +132,7 @@ void QueuePair::PostSendCharged(const SendWorkRequest& wr,
     pkt->wr = wr;
     pkt->payload_len = wr.total_length();
     pkt->post_time = device_->scheduler().Now();
-    ++stats_.flushed_wrs;
+    counters_->flushed_wrs.Increment();
     CompleteSend(pkt, WcStatus::kWrFlushError, 0);
     return;
   }
@@ -157,13 +179,11 @@ void QueuePair::PostSendCharged(const SendWorkRequest& wr,
     }
   }
 
-  ++stats_.sends_posted;
-  stats_.payload_bytes_sent += pkt->payload_len;
-  stats_.sge_entries_posted += wr.num_sge;
-  stats_.sge_bytes_posted += wr.total_length();
-  if (wr.num_sge > 1) ++stats_.gather_wrs;
-  if (inst_.sends_posted) inst_.sends_posted->Increment();
-  if (inst_.payload_bytes_sent) inst_.payload_bytes_sent->Add(pkt->payload_len);
+  counters_->sends_posted.Increment();
+  counters_->payload_bytes_sent.Add(pkt->payload_len);
+  counters_->sge_entries_posted.Add(wr.num_sge);
+  counters_->sge_bytes_posted.Add(wr.total_length());
+  if (wr.num_sge > 1) counters_->gather_wrs.Increment();
 
   if (wr.opcode == Opcode::kRdmaWriteWithImm &&
       device_->profile().emulate_wwi_with_send) {
@@ -191,8 +211,7 @@ void QueuePair::PostSendCharged(const SendWorkRequest& wr,
     notify->wwi_notify = true;
     notify->notify_len = pkt->payload_len;
     notify->post_time = pkt->post_time;
-    ++stats_.sends_posted;
-    if (inst_.sends_posted) inst_.sends_posted->Increment();
+    counters_->sends_posted.Increment();
     ScheduleTransmit(notify, wr_cost);
     return;
   }
@@ -221,8 +240,7 @@ void QueuePair::Transmit(const PacketPtr& pkt) {
       pkt->payload_len + kWireHeaderBytes + (pkt->wr.has_imm ? 4 : 0) +
       (pkt->wr.has_stripe_seq ? kStripeHeaderBytes : 0) +
       (pkt->wr.has_mux ? kMuxHeaderBytes : 0);
-  stats_.wire_bytes_sent += wire_bytes;
-  if (inst_.wire_bytes_sent) inst_.wire_bytes_sent->Add(wire_bytes);
+  counters_->wire_bytes_sent.Add(wire_bytes);
   QueuePair* peer = peer_;
   tx_channel_->Transmit(wire_bytes, [this, peer, pkt] {
     WcStatus status = peer->Deliver(pkt, *this);
@@ -247,10 +265,8 @@ void QueuePair::CompleteSend(const PacketPtr& pkt, WcStatus status,
     wc.status = status;
     wc.byte_len = static_cast<std::uint32_t>(pkt->payload_len);
     wc.qp = this;
-    if (inst_.completion_latency) {
-      inst_.completion_latency->Record(device_->scheduler().Now() -
-                                       pkt->post_time);
-    }
+    counters_->completion_latency.Record(device_->scheduler().Now() -
+                                         pkt->post_time);
     send_cq_->Push(wc);
   });
 }
@@ -261,8 +277,7 @@ WcStatus QueuePair::Deliver(const PacketPtr& pkt, QueuePair& sender) {
     // sender's transport retries exhaust against silence.
     return WcStatus::kRetryExceededError;
   }
-  ++stats_.messages_delivered;
-  if (inst_.messages_delivered) inst_.messages_delivered->Increment();
+  counters_->messages_delivered.Increment();
   const SendWorkRequest& wr = pkt->wr;
 
   if (pkt->wwi_notify) {
@@ -270,7 +285,7 @@ WcStatus QueuePair::Deliver(const PacketPtr& pkt, QueuePair& sender) {
     // via the preceding RDMA WRITE (in-order delivery guarantees it).
     RecvWorkRequest recv;
     if (!TakeRecv(&recv)) {
-      ++stats_.rnr_errors;
+      counters_->rnr_errors.Increment();
       return WcStatus::kRnrError;
     }
     WorkCompletion wc;
@@ -298,7 +313,7 @@ WcStatus QueuePair::Deliver(const PacketPtr& pkt, QueuePair& sender) {
       wr.opcode == Opcode::kRdmaRead) {
     const MemoryRegion* mr = device_->FindByRkey(wr.rkey);
     if (mr == nullptr || !mr->Covers(wr.remote_addr, pkt->payload_len)) {
-      ++stats_.remote_access_errors;
+      counters_->remote_access_errors.Increment();
       EXS_WARN("RDMA " << static_cast<int>(wr.opcode)
                        << " remote access check failed (rkey=" << wr.rkey
                        << " addr=" << wr.remote_addr
@@ -316,7 +331,7 @@ WcStatus QueuePair::Deliver(const PacketPtr& pkt, QueuePair& sender) {
 
   RecvWorkRequest recv;
   if (!TakeRecv(&recv)) {
-    ++stats_.rnr_errors;
+    counters_->rnr_errors.Increment();
     EXS_WARN("message arrived with no posted receive (RNR)");
     return WcStatus::kRnrError;
   }
@@ -338,7 +353,7 @@ WcStatus QueuePair::Deliver(const PacketPtr& pkt, QueuePair& sender) {
   if (wr.opcode == Opcode::kSend) {
     wc.opcode = WcOpcode::kRecv;
     if (pkt->payload_len > recv.sge.length) {
-      ++stats_.length_errors;
+      counters_->length_errors.Increment();
       wc.status = WcStatus::kLocalLengthError;
       wc.byte_len = 0;
       PushRecvCompletionLater(wc);
@@ -367,8 +382,7 @@ WcStatus QueuePair::DeliverRead(const PacketPtr& pkt, QueuePair& sender) {
                 pkt->payload_len);
   }
   std::uint64_t wire_bytes = pkt->payload_len + kWireHeaderBytes;
-  stats_.wire_bytes_sent += wire_bytes;
-  if (inst_.wire_bytes_sent) inst_.wire_bytes_sent->Add(wire_bytes);
+  counters_->wire_bytes_sent.Add(wire_bytes);
   QueuePair* requester = &sender;
   tx_channel_->Transmit(wire_bytes, [requester, response, pkt] {
     // `pkt` is the requester's original work request; if Kill() flushed it
@@ -394,7 +408,7 @@ void QueuePair::PushRecvCompletionLater(const WorkCompletion& wc) {
 bool QueuePair::TakeRecv(RecvWorkRequest* out) {
   if (srq_ != nullptr) {
     if (!srq_->Pop(out)) return false;
-    ++stats_.srq_recvs_consumed;
+    counters_->srq_recvs_consumed.Increment();
     return true;
   }
   if (recv_queue_.empty()) return false;
@@ -421,7 +435,7 @@ void QueuePair::PostRecv(const RecvWorkRequest& wr) {
   EXS_CHECK_MSG(srq_ == nullptr,
                 "PostRecv on an SRQ-attached queue pair; post to the SRQ");
   if (killed_) {
-    ++stats_.flushed_wrs;
+    counters_->flushed_wrs.Increment();
     WorkCompletion wc;
     wc.wr_id = wr.wr_id;
     wc.opcode = WcOpcode::kRecv;
@@ -435,8 +449,7 @@ void QueuePair::PostRecv(const RecvWorkRequest& wr) {
     EXS_CHECK_MSG(mr != nullptr && mr->Covers(wr.sge.addr, wr.sge.length),
                   "receive buffer not covered by registered memory (lkey)");
   }
-  ++stats_.recvs_posted;
-  if (inst_.recvs_posted) inst_.recvs_posted->Increment();
+  counters_->recvs_posted.Increment();
   recv_queue_.push_back(wr);
 }
 
@@ -453,7 +466,7 @@ void QueuePair::Kill() {
       pkt->done = true;
       continue;
     }
-    ++stats_.flushed_wrs;
+    counters_->flushed_wrs.Increment();
     CompleteSend(pkt, WcStatus::kWrFlushError, 0);
   }
   outstanding_.clear();
@@ -464,7 +477,7 @@ void QueuePair::Kill() {
   while (!recv_queue_.empty()) {
     RecvWorkRequest recv = recv_queue_.front();
     recv_queue_.pop_front();
-    ++stats_.flushed_wrs;
+    counters_->flushed_wrs.Increment();
     WorkCompletion wc;
     wc.wr_id = recv.wr_id;
     wc.opcode = WcOpcode::kRecv;

@@ -26,55 +26,58 @@ namespace exs::verbs {
 
 class SharedReceiveQueue;
 
-struct QueuePairStats {
-  std::uint64_t sends_posted = 0;
-  std::uint64_t recvs_posted = 0;
-  std::uint64_t payload_bytes_sent = 0;
-  std::uint64_t wire_bytes_sent = 0;
-  std::uint64_t messages_delivered = 0;
-  std::uint64_t rnr_errors = 0;
-  std::uint64_t remote_access_errors = 0;
-  std::uint64_t length_errors = 0;
-  /// Receives this QP drew from an attached shared receive queue.  The
-  /// per-QP split of a shared pool is the fairness signal: one connection
+/// A queue pair's counts, one field of type T each: metrics::Counter in
+/// the block a queue pair records into, std::uint64_t in its snapshot.
+template <typename T>
+struct QueuePairFields {
+  T sends_posted{};
+  T recvs_posted{};
+  T payload_bytes_sent{};
+  T wire_bytes_sent{};
+  T messages_delivered{};
+  T rnr_errors{};
+  T remote_access_errors{};
+  T length_errors{};
+  /// Receives drawn from an attached shared receive queue.  The per-QP
+  /// split of a shared pool is the fairness signal: one connection
   /// monopolising the SRQ shows up here, not only in its victims' RNRs.
-  std::uint64_t srq_recvs_consumed = 0;
+  T srq_recvs_consumed{};
   /// Work requests completed with kWrFlushError after Kill() put the QP in
   /// the error state (in-flight flushes plus refused new posts).
-  std::uint64_t flushed_wrs = 0;
+  T flushed_wrs{};
   /// Doorbell rings through PostSendBatch and the work requests they
   /// covered.  batched_wrs / doorbells is the achieved batch depth.
-  std::uint64_t doorbells = 0;
-  std::uint64_t batched_wrs = 0;
+  T doorbells{};
+  T batched_wrs{};
   /// Gather-list accounting: WRs posted with more than one SGE, total SGE
   /// entries across all posted sends, and the summed SGE byte lengths.
   /// sge_bytes_posted == payload_bytes_sent is the per-WR gather byte-
   /// conservation fact the invariant checker audits.
-  std::uint64_t gather_wrs = 0;
-  std::uint64_t sge_entries_posted = 0;
-  std::uint64_t sge_bytes_posted = 0;
+  T gather_wrs{};
+  T sge_entries_posted{};
+  T sge_bytes_posted{};
 };
 
-/// Pre-resolved registry instruments a queue pair records into alongside
-/// its local stats struct.  All pointers optional; the upper layer (the
-/// EXS control channel) resolves them against the socket's metrics
-/// registry so per-rail QP activity shows up in snapshots and the
-/// Perfetto timeline instead of living in a detached struct.
-struct QueuePairInstruments {
-  metrics::Counter* sends_posted = nullptr;
-  metrics::Counter* recvs_posted = nullptr;
-  metrics::Counter* payload_bytes_sent = nullptr;
-  metrics::Counter* wire_bytes_sent = nullptr;
-  metrics::Counter* messages_delivered = nullptr;
-  metrics::Counter* doorbells = nullptr;        ///< PostSendBatch rings
-  metrics::Counter* batched_wrs = nullptr;      ///< WRs covered by them
-  metrics::Histogram* completion_latency = nullptr;  ///< ps, post -> send WC
+/// A snapshot of a QueuePairCounters block (QueuePair::stats(),
+/// ControlChannel::qp_stats()): the same facts as plain integers.
+using QueuePairStats = QueuePairFields<std::uint64_t>;
+
+/// The one store of a queue pair's counts.  A queue pair records into the
+/// block it was built with: the EXS control channel keeps one for its
+/// whole life and hands it to every queue pair it connects, so the block
+/// covers each reconnect; a bare queue pair owns its own.
+struct QueuePairCounters : QueuePairFields<metrics::Counter> {
+  metrics::Histogram completion_latency;  ///< ps, post -> send WC
+
+  QueuePairStats Stats() const;
 };
 
 class QueuePair {
  public:
-  QueuePair(Device& device, CompletionQueue& send_cq,
-            CompletionQueue& recv_cq);
+  /// Counts go to `counters`, which must outlive this queue pair; null
+  /// gives the queue pair a block of its own.
+  QueuePair(Device& device, CompletionQueue& send_cq, CompletionQueue& recv_cq,
+            QueuePairCounters* counters = nullptr);
 
   QueuePair(const QueuePair&) = delete;
   QueuePair& operator=(const QueuePair&) = delete;
@@ -113,10 +116,7 @@ class QueuePair {
 
   std::size_t PostedRecvCount() const;
   Device& device() { return *device_; }
-  const QueuePairStats& stats() const { return stats_; }
-
-  /// Mirror future stat updates into registry instruments (all optional).
-  void SetInstruments(const QueuePairInstruments& inst) { inst_ = inst; }
+  QueuePairStats stats() const { return counters_->Stats(); }
 
   /// Transition to the fatal error state: every in-flight send WR and every
   /// private posted receive completes with kWrFlushError, new posts are
@@ -189,8 +189,8 @@ class QueuePair {
   SimTime hca_busy_until_ = 0;
   SharedReceiveQueue* srq_ = nullptr;
   std::deque<RecvWorkRequest> recv_queue_;
-  QueuePairStats stats_;
-  QueuePairInstruments inst_;
+  std::unique_ptr<QueuePairCounters> own_counters_;  ///< bare queue pairs
+  QueuePairCounters* counters_;
   bool killed_ = false;
   /// Send WRs with a completion still owed; Kill() flushes these.
   std::vector<PacketPtr> outstanding_;
