@@ -15,12 +15,11 @@ Acceptor::Acceptor(verbs::Device& device, ProgressEngine& engine,
     qp_pool_ = std::make_unique<QpPool>(device, *options.mux, registry);
   }
   if (registry != nullptr) {
-    registry->Bind("pool.admission_refusals", "connections",
-                   admission_refusals_);
+    registry->Bind("pool.admission_refusals", "connections", refusals_);
   }
 }
 
-void Acceptor::Refuse() { admission_refusals_.Increment(); }
+void Acceptor::Refuse() { refusals_.Increment(); }
 
 std::unique_ptr<Socket> Acceptor::Admit(verbs::Device& device,
                                         SocketType type,

@@ -59,9 +59,7 @@ class Acceptor {
   ControlSlotPool& control_slots() { return slots_; }
   /// The shared-QP pool, or null when AcceptorOptions::mux was unset.
   QpPool* qp_pool() { return qp_pool_.get(); }
-  std::uint64_t AdmissionRefusals() const {
-    return admission_refusals_.value();
-  }
+  std::uint64_t AdmissionRefusals() const { return refusals_.value(); }
 
  private:
   std::unique_ptr<Socket> Admit(verbs::Device& device, SocketType type,
@@ -75,7 +73,7 @@ class Acceptor {
   BufferPool pool_;
   ControlSlotPool slots_;
   std::unique_ptr<QpPool> qp_pool_;
-  metrics::Counter admission_refusals_;
+  metrics::Counter refusals_;
 };
 
 }  // namespace exs::engine

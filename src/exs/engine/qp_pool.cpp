@@ -12,8 +12,7 @@ QpPool::QpPool(verbs::Device& device, QpPoolOptions options,
   EXS_CHECK_MSG(options_.max_streams <= 65536,
                 "max_streams exceeds the 16-bit wire stream-id space");
   if (registry != nullptr) {
-    registry->Bind("mux.admission_refusals", "connections",
-                   admission_refusals_);
+    registry->Bind("mux.admission_refusals", "connections", refusals_);
   }
 }
 
@@ -23,7 +22,7 @@ bool QpPool::AdmissionOpen() const {
 
 std::unique_ptr<MuxStream> QpPool::Admit(std::uint32_t stream_id) {
   if (!AdmissionOpen() || group_.FindStream(stream_id) != nullptr) {
-    admission_refusals_.Increment();
+    refusals_.Increment();
     EXS_DEBUG("QP pool refused stream " << stream_id << " ("
                                         << LiveStreams() << " live)");
     return nullptr;

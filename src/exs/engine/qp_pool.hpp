@@ -53,15 +53,13 @@ class QpPool {
   std::size_t LiveStreams() const {
     return group_.stats().streams_attached - group_.stats().streams_detached;
   }
-  std::uint64_t AdmissionRefusals() const {
-    return admission_refusals_.value();
-  }
+  std::uint64_t AdmissionRefusals() const { return refusals_.value(); }
   const QpPoolOptions& options() const { return options_; }
 
  private:
   QpPoolOptions options_;
   MuxGroup group_;
-  metrics::Counter admission_refusals_;
+  metrics::Counter refusals_;
 };
 
 }  // namespace exs::engine

@@ -33,13 +33,28 @@ MuxGroup::~MuxGroup() = default;
 void MuxGroup::Connect(MuxGroup& a, MuxGroup& b) {
   EXS_CHECK_MSG(a.slots_.size() == b.slots_.size(),
                 "mux groups must agree on pool width");
+  EXS_CHECK_MSG((a.peer_ == nullptr || a.peer_ == &b) &&
+                    (b.peer_ == nullptr || b.peer_ == &a),
+                "a mux group reconnects only to its own peer");
+  // Wire the slot pairs never connected, rebuild those dead on both sides
+  // and leave live ones, which carry other streams, alone.  Every pair is
+  // checked before any is touched, so a refused reconnect changes nothing.
+  std::vector<std::size_t> wire;
+  for (std::size_t i = 0; i < a.slots_.size(); ++i) {
+    const ControlChannel& sa = *a.slots_[i];
+    const ControlChannel& sb = *b.slots_[i];
+    EXS_CHECK_MSG(sa.HasQueuePair() == sb.HasQueuePair() &&
+                      sa.dead() == sb.dead(),
+                  "mux slot " << i << " is dead on one side only — "
+                              "reconnect once the peer slot has died too");
+    if (!sa.HasQueuePair() || sa.dead()) wire.push_back(i);
+  }
   a.peer_ = &b;
   b.peer_ = &a;
-  for (std::size_t i = 0; i < a.slots_.size(); ++i) {
+  for (std::size_t i : wire) {
     ControlChannel::Connect(*a.slots_[i], *b.slots_[i]);
     // Reconnect path: posts flushed by the slot's death never complete, so
-    // their FIFO records are stale (cleared at the fatal too — this keeps
-    // a partial-death reconnect consistent).
+    // their FIFO records are stale (cleared at the fatal too).
     a.slot_fifo_[i].clear();
     b.slot_fifo_[i].clear();
   }

@@ -115,10 +115,12 @@ class MuxGroup {
   MuxGroup(const MuxGroup&) = delete;
   MuxGroup& operator=(const MuxGroup&) = delete;
 
-  /// Wire two groups on opposite nodes slot-for-slot.  Calling it again on
-  /// a pair whose slot transports died reconnects them (the slots'
-  /// ControlChannel::Connect reconnect path); attached streams must then
-  /// be revived individually.
+  /// Wire two groups on opposite nodes slot-for-slot.  Calling it again
+  /// reconnects every slot pair that died on both sides (the slots'
+  /// ControlChannel::Connect reconnect path) and leaves live pairs as they
+  /// are; the dead slots' streams must then be resumed pairwise
+  /// (Socket::ResumePair).  A slot dead on one side only refuses the whole
+  /// call before any pair is touched.
   static void Connect(MuxGroup& a, MuxGroup& b);
 
   /// Next unused stream id (both endpoints must attach the same id for a
