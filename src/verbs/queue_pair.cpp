@@ -100,8 +100,12 @@ void QueuePair::PostSend(const SendWorkRequest& wr) {
 void QueuePair::PostSendBatch(std::span<const SendWorkRequest> wrs) {
   if (wrs.empty()) return;
   const auto& profile = device_->profile();
-  counters_->doorbells.Increment();
-  counters_->batched_wrs.Add(wrs.size());
+  // A killed QP refuses the batch: like a refused single post, its WRs
+  // count only as flushed, never as posted or batched.
+  if (!killed_) {
+    counters_->doorbells.Increment();
+    counters_->batched_wrs.Add(wrs.size());
+  }
   if (profile.doorbell_cost == 0 && profile.per_wr_cost == 0) {
     // Profile does not decompose the doorbell: a batch costs exactly what
     // N single posts would, so batching changes no timing.

@@ -46,7 +46,8 @@ struct QueuePairFields {
   /// the error state (in-flight flushes plus refused new posts).
   T flushed_wrs{};
   /// Doorbell rings through PostSendBatch and the work requests they
-  /// covered.  batched_wrs / doorbells is the achieved batch depth.
+  /// covered, on a live QP.  batched_wrs / doorbells is the achieved batch
+  /// depth.
   T doorbells{};
   T batched_wrs{};
   /// Gather-list accounting: WRs posted with more than one SGE, total SGE

@@ -283,6 +283,44 @@ TEST(StreamRecoveryTest, PrunedSnapshotsAreDeregistered) {
   ExpectCleanChecker(client, server);
 }
 
+// Doorbell batching meets a kill in the same simulated instant as a Send,
+// before the deferred doorbell event runs: the channel posts the pending
+// batch into the killed queue pair, where every WR is refused with an
+// immediate flush.  The resumed connection still delivers byte-exact, and
+// the batching audit, which spans every queue pair the rail has had, must
+// count those refused posts the same way on both sides of its rules.
+TEST(StreamRecoveryTest, KillBeforeDeferredDoorbellFlushesPendingBatch) {
+  Simulation sim(HardwareProfile::FdrInfiniBand(), /*seed=*/59,
+                 /*carry_payload=*/true);
+  StreamOptions opts = RecoveryOpts();
+  opts.batching.doorbell = true;
+  opts.batching.max_wrs = 8;
+  auto [client, server] = sim.CreateConnectedPair(SocketType::kStream, opts);
+  client->EnableTracing();
+  server->EnableTracing();
+
+  constexpr std::uint64_t kSend = 512;
+  constexpr int kSends = 4;
+  std::vector<std::uint8_t> out(kSends * kSend), in(kSends * kSend, 0);
+  FillPattern(out.data(), out.size(), 0, 59);
+  server->Recv(in.data(), in.size(), RecvFlags{.waitall = true});
+  for (int i = 0; i < kSends; ++i) client->Send(out.data() + i * kSend, kSend);
+  ASSERT_GT(client->rail(0).PendingBatchedWrs(), 0u);
+  const std::uint64_t flushed = client->rail(0).qp_stats().flushed_wrs;
+  ASSERT_TRUE(client->KillTransport());
+  EXPECT_EQ(client->rail(0).PendingBatchedWrs(), 0u);
+  EXPECT_GT(client->rail(0).qp_stats().flushed_wrs, flushed)
+      << "the pending batch never reached the killed queue pair";
+
+  AwaitBothDead(sim, client, server);
+  Socket::ResumePair(*client, *server);
+  sim.Run();
+
+  EXPECT_EQ(VerifyPattern(in.data(), in.size(), 0, 59), in.size());
+  EXPECT_GT(client->stats().doorbell_batches, 0u);
+  ExpectCleanChecker(client, server);
+}
+
 // Regression: a fault scheduled against an already-dead transport is a
 // guaranteed no-op — not a second flush, not a dangling callback.  Both
 // the direct API and the FaultInjector path must agree, and a kill
@@ -377,6 +415,9 @@ TEST_P(StreamRecoveryKillTest, KillOnDeadTransportIsNoOp) {
 
   EXPECT_EQ(injector.KillsApplied(), 1u);
   EXPECT_EQ(CounterValue(client, "recovery.transport_kills", "kills"), 2u);
+  // The counts cover every queue pair a rail has had: the second kill's
+  // flushes add to the first's instead of restarting from the fresh pair.
+  EXPECT_GT(Flushed(client), flushed);
   AwaitBothDead(sim, client, server);
   Socket::ResumePair(*client, *server);
   sim.Run();
