@@ -66,9 +66,10 @@ Socket::Socket(verbs::Device& device, SocketType type, StreamOptions options,
     // can draw from them.
     auto channel = std::make_unique<ControlChannel>(
         device, options_.credits, wiring_.shared_slots, wiring_.slots_reserved);
+    // Every rail's standalone CREDIT messages count socket-wide.
     channel->SetInstruments(r == 0 ? &inst_.send_credits : nullptr,
                             &rail_inst_[r].inflight_wrs,
-                            r == 0 ? &inst_.credit_messages_sent : nullptr);
+                            &inst_.credit_messages_sent);
     // rail<i>.* names the channel's queue-pair counters directly: one
     // block per channel, covering every queue pair it connects.
     BindRailInstruments(registry_, r, rail_inst_[r], channel->qp_counters());

@@ -56,10 +56,13 @@ class StreamStripingTest : public ::testing::Test {
 
 // A stream striped across four rails delivers the exact byte sequence the
 // application submitted, uses every rail, and the receiver's reassembly
-// counter matches the sender's stripe counter.
+// counter matches the sender's stripe counter.  A small credit pool makes
+// every rail return credits, and channel.credit_messages_sent counts the
+// standalone CREDIT messages of all of them.
 TEST_F(StreamStripingTest, StripedTransferDeliversBytesInOrder) {
-  auto [client, server] =
-      sim_.CreateConnectedPair(SocketType::kStream, Railed(4));
+  StreamOptions opts = Railed(4, 4 * kKiB);
+  opts.credits = 16;
+  auto [client, server] = sim_.CreateConnectedPair(SocketType::kStream, opts);
   client->EnableTracing();
   server->EnableTracing();
   EXPECT_EQ(client->effective_rails(), 4u);
@@ -80,6 +83,17 @@ TEST_F(StreamStripingTest, StripedTransferDeliversBytesInOrder) {
   EXPECT_EQ(client->stream_tx()->NextStripeSeq(),
             server->stream_rx()->NextStripeSeq());
   EXPECT_GE(client->stream_tx()->NextStripeSeq(), 8u);
+
+  // The receiver sends no data: each SEND it posted is an ADVERT, a
+  // standalone ACK or a standalone CREDIT, and the data rails carry
+  // CREDITs only.
+  std::uint64_t sends = 0;
+  for (std::size_t r = 0; r < 4; ++r) {
+    sends += server->rail(r).qp_stats().sends_posted;
+  }
+  EXPECT_GT(server->rail(1).qp_stats().sends_posted, 0u);
+  const StreamStats rx = server->stats();
+  EXPECT_EQ(rx.credit_messages_sent, sends - rx.adverts_sent - rx.acks_sent);
 
   auto report = CheckConnection(*client, *server);
   EXPECT_TRUE(report.ok()) << report.Summary();
