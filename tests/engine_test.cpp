@@ -154,7 +154,9 @@ struct PoolHarness {
 
 TEST(BufferPoolTest, LeasesAreDisjointCarvesOfOneSlab) {
   PoolHarness h;
-  BufferPool pool(h.device, {.pool_bytes = 4 * 4096, .lease_bytes = 4096});
+  metrics::Registry registry;
+  BufferPool pool(h.device, {.pool_bytes = 4 * 4096, .lease_bytes = 4096},
+                  &registry);
   std::vector<RingLease> leases;
   for (int i = 0; i < 4; ++i) {
     leases.push_back(pool.Acquire());
@@ -182,6 +184,14 @@ TEST(BufferPoolTest, LeasesAreDisjointCarvesOfOneSlab) {
   RingLease again = pool.Acquire();
   ASSERT_TRUE(again.valid());
   EXPECT_EQ(again.mem(), leases[1].mem());  // the freed carve is reused
+
+  // Each lease count has one store, read through its getter and its name.
+  const auto& counters = registry.counters();
+  EXPECT_EQ(pool.LeasesGranted(), 5u);
+  EXPECT_EQ(counters.at("pool.leases_granted").instrument->value(),
+            pool.LeasesGranted());
+  EXPECT_EQ(counters.at("pool.leases_reclaimed").instrument->value(),
+            pool.LeasesReclaimed());
 }
 
 TEST(BufferPoolTest, WatermarkHysteresisGatesAdmission) {
@@ -406,6 +416,17 @@ TEST(ProgressEngineTest, SchedulingInstrumentsRecordTicksAndDelays) {
   const auto& socket_hists = server->metrics_registry().histograms();
   ASSERT_TRUE(socket_hists.count("engine.sched_delay"));
   EXPECT_GT(socket_hists.at("engine.sched_delay").instrument->count(), 0u);
+
+  // The engine's counts have one store each, read through the getter and
+  // the registry name alike; a second engine cannot claim the same names.
+  const auto& counters = reg.counters();
+  EXPECT_EQ(engine.EventsDispatched(), 16u);
+  EXPECT_EQ(counters.at("engine.events_dispatched").instrument->value(),
+            engine.EventsDispatched());
+  EXPECT_EQ(counters.at("engine.ticks").instrument->value(),
+            engine.TicksRun());
+  EXPECT_THROW(ProgressEngine(sim.fabric().node(1).cpu(), opts, &reg),
+               InvariantViolation);
 }
 
 TEST(ProgressEngineTest, UnregisterLeavesEventsForDirectPolling) {
@@ -470,7 +491,8 @@ TEST(ProgressEngineTest, ReregisterFromInsideHandlerContinuesDispatch) {
 struct ServerRig {
   explicit ServerRig(AcceptorOptions options, std::uint64_t seed = 15)
       : sim(HardwareProfile::FdrInfiniBand(), seed, true),
-        engine(sim.fabric().node(1).cpu(), ProgressEngineOptions{}),
+        engine(sim.fabric().node(1).cpu(), ProgressEngineOptions{},
+               &registry),
         acceptor(sim.device(1), engine, options, &registry) {}
 
   Simulation sim;
@@ -522,6 +544,10 @@ TEST(AcceptorTest, RefusesConnectionsBeyondThePool) {
   EXPECT_EQ(rig.acceptor.AdmissionRefusals(), 1u);
   EXPECT_EQ(rig.acceptor.pool().LeasesActive(), 2u);
   EXPECT_EQ(rig.engine.RegisteredCount(), 2u);
+  EXPECT_EQ(rig.registry.counters()
+                .at("pool.admission_refusals")
+                .instrument->value(),
+            rig.acceptor.AdmissionRefusals());
 }
 
 TEST(AcceptorTest, RefusesWhenControlSlotsExhausted) {
@@ -685,6 +711,22 @@ TEST(AcceptorTest, AcceptedSocketsTransferOverSharedResources) {
                   [&](Socket* s) { accepted_again += (s != nullptr); });
   rig.sim.Run();
   EXPECT_EQ(accepted_again, 1);
+
+  // Every moved count reads one value through its getter and its name.
+  const auto& counters = rig.registry.counters();
+  EXPECT_EQ(counters.at("pool.leases_granted").instrument->value(),
+            rig.acceptor.pool().LeasesGranted());
+  EXPECT_EQ(rig.acceptor.pool().LeasesGranted(),
+            static_cast<std::uint64_t>(kStreams + 1));
+  EXPECT_EQ(counters.at("pool.leases_reclaimed").instrument->value(),
+            rig.acceptor.pool().LeasesReclaimed());
+  EXPECT_EQ(counters.at("pool.admission_refusals").instrument->value(),
+            rig.acceptor.AdmissionRefusals());
+  EXPECT_GT(rig.engine.EventsDispatched(), 0u);
+  EXPECT_EQ(counters.at("engine.events_dispatched").instrument->value(),
+            rig.engine.EventsDispatched());
+  EXPECT_EQ(counters.at("engine.ticks").instrument->value(),
+            rig.engine.TicksRun());
 }
 
 // ---------------------------------------------------------------------------

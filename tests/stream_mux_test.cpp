@@ -647,6 +647,9 @@ TEST(StreamMuxTest, AcceptorQpPoolAdmitsOverSharedQps) {
   ASSERT_EQ(clients.size(), 3u);
   EXPECT_EQ(rejected, 1);
   EXPECT_EQ(acceptor.qp_pool()->AdmissionRefusals(), 1u);
+  EXPECT_EQ(
+      registry.counters().at("mux.admission_refusals").instrument->value(),
+      acceptor.qp_pool()->AdmissionRefusals());
   EXPECT_EQ(acceptor.qp_pool()->LiveStreams(), 3u);
   EXPECT_EQ(sim.device(1).QueuePairsCreated(), qps_before)
       << "accepting muxed connections must not create queue pairs";

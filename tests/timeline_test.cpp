@@ -230,7 +230,11 @@ TEST(TraceLogCap, DropsSurfaceInTheMetricsSnapshot) {
 }
 
 TEST(TraceLogCap, UnboundedByDefaultAndClearResetsDropCount) {
+  metrics::Registry registry;
   TraceLog log;
+  log.BindDropCounter(registry, "trace.dropped_tx");
+  const metrics::Counter& named =
+      *registry.counters().at("trace.dropped_tx").instrument;
   log.Enable();
   EXPECT_EQ(log.capacity(), 0u);
   for (int i = 0; i < 100; ++i) log.Record(TraceEvent{});
@@ -242,8 +246,10 @@ TEST(TraceLogCap, UnboundedByDefaultAndClearResetsDropCount) {
   for (int i = 0; i < 100; ++i) log.Record(TraceEvent{});
   EXPECT_EQ(log.events().size(), 10u);
   EXPECT_EQ(log.dropped(), 90u);
+  EXPECT_EQ(named.value(), 90u);
   log.Clear();
   EXPECT_EQ(log.dropped(), 0u);
+  EXPECT_EQ(named.value(), 0u) << "Clear left the named drop count behind";
   EXPECT_TRUE(log.events().empty());
 }
 
