@@ -581,7 +581,8 @@ InvariantReport CheckSeqPacketPair(const TraceLog& sender_log,
 namespace {
 
 /// Hot-path batching conservation for one socket's send rails, audited at
-/// quiescence from verbs-layer ground truth (QueuePairStats):
+/// quiescence from verbs-layer ground truth (QueuePairStats, which spans
+/// every queue pair a rail has had, so a resumed rail is audited whole):
 ///   - gather byte conservation: the summed SGE lengths of every posted
 ///     send WR equal the wire payload those WRs carried — a gather list
 ///     never sends more or fewer bytes than its slices name;
@@ -599,7 +600,6 @@ void CheckBatchingConservation(InvariantReport& report, const char* label,
   if (s.Muxed()) return;
   for (std::size_t rail = 0; rail < s.effective_rails(); ++rail) {
     const ControlChannel& ch = s.rail(rail);
-    if (!ch.HasQueuePair()) continue;  // never connected: nothing posted
     ++report.events_checked;
     const verbs::QueuePairStats& qp = ch.qp_stats();
     if (qp.sge_bytes_posted != qp.payload_bytes_sent) {
