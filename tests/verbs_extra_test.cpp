@@ -1,6 +1,7 @@
 // Deeper verbs coverage: multiple queue pairs sharing one link, work-
-// request pipelining, zero-length receives, registration lifecycle, and
-// accounting.
+// request pipelining, zero-length receives, registration lifecycle,
+// accounting, and the extension header a data WWI carries (natively and
+// under legacy-iWARP WWI emulation).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -27,13 +28,20 @@ class VerbsExtraTest : public ::testing::Test {
   VerbsExtraTest()
       : fabric_(simnet::HardwareProfile::FdrInfiniBand(), 9),
         dev0_(fabric_, 0),
-        dev1_(fabric_, 1) {}
+        dev1_(fabric_, 1),
+        iwarp_fabric_(simnet::HardwareProfile::Iwarp10G(), 9),
+        iwarp0_(iwarp_fabric_, 0),
+        iwarp1_(iwarp_fabric_, 1) {}
 
   std::pair<Endpoint*, Endpoint*> MakeConnectedPair() {
-    auto a = std::make_unique<Endpoint>(dev0_);
-    auto b = std::make_unique<Endpoint>(dev1_);
-    a->qp = std::make_unique<QueuePair>(dev0_, *a->send_cq, *a->recv_cq);
-    b->qp = std::make_unique<QueuePair>(dev1_, *b->send_cq, *b->recv_cq);
+    return MakeConnectedPair(dev0_, dev1_);
+  }
+
+  std::pair<Endpoint*, Endpoint*> MakeConnectedPair(Device& d0, Device& d1) {
+    auto a = std::make_unique<Endpoint>(d0);
+    auto b = std::make_unique<Endpoint>(d1);
+    a->qp = std::make_unique<QueuePair>(d0, *a->send_cq, *a->recv_cq);
+    b->qp = std::make_unique<QueuePair>(d1, *b->send_cq, *b->recv_cq);
     QueuePair::ConnectPair(*a->qp, *b->qp);
     endpoints_.push_back(std::move(a));
     endpoints_.push_back(std::move(b));
@@ -45,8 +53,58 @@ class VerbsExtraTest : public ::testing::Test {
     return Sge{reinterpret_cast<std::uint64_t>(addr), len, k};
   }
 
+  /// A 128-byte WWI from `src` into `dst`, carrying no extension.
+  static SendWorkRequest PlainWwi(const std::vector<std::uint8_t>& src,
+                                  const MemoryRegion& src_mr,
+                                  const std::vector<std::uint8_t>& dst,
+                                  const MemoryRegion& dst_mr) {
+    SendWorkRequest wr;
+    wr.wr_id = 4;
+    wr.opcode = Opcode::kRdmaWriteWithImm;
+    wr.sge = MakeSge(src.data(), 128, src_mr.lkey());
+    wr.remote_addr = reinterpret_cast<std::uint64_t>(dst.data());
+    wr.rkey = dst_mr.rkey();
+    wr.has_imm = true;
+    wr.imm = 0x1234;
+    return wr;
+  }
+
+  /// PlainWwi with all three extensions: a stripe sequence, a mux tag and
+  /// a trace id.
+  static SendWorkRequest ExtendedWwi(const std::vector<std::uint8_t>& src,
+                                     const MemoryRegion& src_mr,
+                                     const std::vector<std::uint8_t>& dst,
+                                     const MemoryRegion& dst_mr) {
+    SendWorkRequest wr = PlainWwi(src, src_mr, dst, dst_mr);
+    wr.has_stripe_seq = true;
+    wr.stripe_seq = 41;
+    wr.has_mux = true;
+    wr.mux_stream = 7;
+    wr.mux_seq = 12;
+    wr.mux_epoch = 3;
+    wr.trace_ctx = 99;
+    return wr;
+  }
+
+  static void ExpectAllExtensions(const WorkCompletion& wc) {
+    EXPECT_EQ(wc.status, WcStatus::kSuccess);
+    EXPECT_EQ(wc.opcode, WcOpcode::kRecvRdmaWithImm);
+    EXPECT_EQ(wc.byte_len, 128u);
+    EXPECT_TRUE(wc.has_imm);
+    EXPECT_EQ(wc.imm, 0x1234u);
+    EXPECT_TRUE(wc.has_stripe_seq);
+    EXPECT_EQ(wc.stripe_seq, 41u);
+    EXPECT_TRUE(wc.has_mux);
+    EXPECT_EQ(wc.mux_stream, 7u);
+    EXPECT_EQ(wc.mux_seq, 12u);
+    EXPECT_EQ(wc.mux_epoch, 3u);
+    EXPECT_EQ(wc.trace_ctx, 99u);
+  }
+
   simnet::Fabric fabric_;
   Device dev0_, dev1_;
+  simnet::Fabric iwarp_fabric_;  ///< emulates WWI with a trailing SEND
+  Device iwarp0_, iwarp1_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
 };
 
@@ -110,6 +168,67 @@ TEST_F(VerbsExtraTest, ZeroLengthRecvConsumedByWwi) {
   EXPECT_EQ(wc.status, WcStatus::kSuccess);
   EXPECT_EQ(wc.byte_len, 128u);
   EXPECT_EQ(VerifyPattern(dst.data(), dst.size(), 0, 12), dst.size());
+}
+
+// A WWI's stripe sequence and mux tag each cost one 8-byte extension word
+// on the wire and its trace id none; all three reach the receive
+// completion intact.  A WWI without them pays the frame and the immediate
+// only, and its completion carries no extension.
+TEST_F(VerbsExtraTest, WwiExtensionsReachTheCompletionAndCostTheirWords) {
+  auto [a, b] = MakeConnectedPair();
+  std::vector<std::uint8_t> src(128), dst(128);
+  auto src_mr = dev0_.RegisterMemory(src.data(), src.size());
+  auto dst_mr = dev1_.RegisterMemory(dst.data(), dst.size());
+  b->qp->PostRecv({.wr_id = 1, .sge = Sge{}});
+  b->qp->PostRecv({.wr_id = 2, .sge = Sge{}});
+
+  a->qp->PostSend(ExtendedWwi(src, *src_mr, dst, *dst_mr));
+  fabric_.scheduler().Run();
+  EXPECT_EQ(a->qp->stats().wire_bytes_sent, 128u + 30 + 4 + 8 + 8);
+  WorkCompletion wc;
+  ASSERT_TRUE(b->recv_cq->Poll(&wc));
+  EXPECT_EQ(wc.wr_id, 1u);
+  ExpectAllExtensions(wc);
+
+  const std::uint64_t before = a->qp->stats().wire_bytes_sent;
+  a->qp->PostSend(PlainWwi(src, *src_mr, dst, *dst_mr));
+  fabric_.scheduler().Run();
+  EXPECT_EQ(a->qp->stats().wire_bytes_sent - before, 128u + 30 + 4);
+  ASSERT_TRUE(b->recv_cq->Poll(&wc));
+  EXPECT_EQ(wc.wr_id, 2u);
+  EXPECT_TRUE(wc.has_imm);
+  EXPECT_FALSE(wc.has_stripe_seq);
+  EXPECT_FALSE(wc.has_mux);
+  EXPECT_EQ(wc.trace_ctx, 0u);
+}
+
+// Under legacy-iWARP WWI emulation the data half is a plain RDMA WRITE:
+// it carries neither the immediate nor any extension word.  The trailing
+// notification carries both, and the completion it raises reports them.
+TEST_F(VerbsExtraTest, EmulatedWwiCarriesItsExtensionsOnTheNotification) {
+  auto [a, b] = MakeConnectedPair(iwarp0_, iwarp1_);
+  std::vector<std::uint8_t> src(128), dst(128);
+  FillPattern(src.data(), src.size(), 0, 13);
+  auto src_mr = iwarp0_.RegisterMemory(src.data(), src.size());
+  auto dst_mr = iwarp1_.RegisterMemory(dst.data(), dst.size());
+  b->qp->PostRecv({.wr_id = 1, .sge = Sge{}});
+
+  a->qp->PostSend(ExtendedWwi(src, *src_mr, dst, *dst_mr));
+  // Step to the data half's transmit: the frame and the payload only.
+  while (a->qp->stats().wire_bytes_sent == 0) {
+    ASSERT_TRUE(iwarp_fabric_.scheduler().Step());
+  }
+  EXPECT_EQ(a->qp->stats().wire_bytes_sent, 128u + 30);
+  iwarp_fabric_.scheduler().Run();
+  EXPECT_EQ(a->qp->stats().wire_bytes_sent, 128u + 30 + (30 + 4 + 8 + 8));
+  EXPECT_EQ(a->qp->stats().sends_posted, 2u);
+
+  WorkCompletion wc;
+  ASSERT_TRUE(b->recv_cq->Poll(&wc));
+  EXPECT_EQ(wc.wr_id, 1u);
+  ExpectAllExtensions(wc);
+  EXPECT_FALSE(b->recv_cq->Poll(&wc));
+  EXPECT_EQ(VerifyPattern(dst.data(), dst.size(), 0, 13), dst.size());
 }
 
 TEST_F(VerbsExtraTest, SendsPipelineBackToBack) {
