@@ -207,21 +207,7 @@ void ControlChannel::SendControl(wire::ControlMessage msg) {
 void ControlChannel::PostDataWwi(std::uint64_t wr_id,
                                  std::span<const verbs::Sge> sges,
                                  std::uint64_t remote_addr, std::uint32_t rkey,
-                                 bool indirect, bool has_stripe_seq,
-                                 std::uint64_t stripe_seq,
-                                 std::uint64_t trace_ctx) {
-  PostDataWwiTagged(wr_id, sges, remote_addr, rkey, indirect, has_stripe_seq,
-                    stripe_seq, trace_ctx, MuxTag{});
-}
-
-void ControlChannel::PostDataWwiTagged(std::uint64_t wr_id,
-                                       std::span<const verbs::Sge> sges,
-                                       std::uint64_t remote_addr,
-                                       std::uint32_t rkey, bool indirect,
-                                       bool has_stripe_seq,
-                                       std::uint64_t stripe_seq,
-                                       std::uint64_t trace_ctx,
-                                       const MuxTag& tag) {
+                                 bool indirect, const verbs::ExtHeader& ext) {
   EXS_CHECK(wr_id != kControlWrId);
   EXS_CHECK_MSG(!sges.empty() && sges.size() <= verbs::kMaxSge,
                 "a data WWI gathers 1.." << verbs::kMaxSge
@@ -237,13 +223,7 @@ void ControlChannel::PostDataWwiTagged(std::uint64_t wr_id,
   wr.rkey = rkey;
   wr.has_imm = true;
   wr.imm = wire::EncodeDataImm(indirect, wr.total_length());
-  wr.has_stripe_seq = has_stripe_seq;
-  wr.stripe_seq = stripe_seq;
-  wr.has_mux = tag.present;
-  wr.mux_stream = tag.stream;
-  wr.mux_seq = tag.seq;
-  wr.mux_epoch = tag.epoch;
-  wr.trace_ctx = trace_ctx;
+  wr.ext = ext;
   ++outstanding_wrs_;
   SampleInflightWrs();
   EnqueueOrPost(wr);
@@ -386,14 +366,11 @@ void ControlChannel::ProcessRecvCompletion(const verbs::WorkCompletion& wc) {
 
   if (wc.opcode == verbs::WcOpcode::kRecvRdmaWithImm) {
     EXS_CHECK(wc.has_imm);
-    // The raw hook (mux demultiplexing) replaces the decoded callback:
-    // credit accounting above already happened either way, so the mux
-    // layer may drop a stale arrival without disturbing conservation.
-    if (callbacks_.on_data_raw) {
-      callbacks_.on_data_raw(wc);
-    } else if (callbacks_.on_data) {
+    // Credit accounting above already happened, so a mux slot's handler
+    // may drop a stale arrival without disturbing conservation.
+    if (callbacks_.on_data) {
       callbacks_.on_data(wire::ImmIsIndirect(wc.imm), wire::ImmLength(wc.imm),
-                         wc.has_stripe_seq, wc.stripe_seq, wc.trace_ctx);
+                         wc.ext);
     }
     MaybeSendStandaloneCredit();
     return;

@@ -70,20 +70,14 @@ class ChannelEndpoint {
   struct Callbacks {
     /// An ADVERT or ACK arrived (CREDIT messages are absorbed internally).
     std::function<void(const wire::ControlMessage&)> on_control;
-    /// A data WWI arrived: kind and chunk length decoded from the imm,
-    /// plus the stripe sequence number when the sender striped the stream
-    /// across multiple rails (has_stripe_seq == false on classic
-    /// single-rail connections).  `trace_ctx` is the causal-tracing
-    /// correlation id carried as work-request metadata (0 = untraced).
-    std::function<void(bool indirect, std::uint64_t len, bool has_stripe_seq,
-                       std::uint64_t stripe_seq, std::uint64_t trace_ctx)>
+    /// A data WWI arrived: kind and chunk length decoded from the imm, plus
+    /// the extension header the sender stamped — the stripe sequence when
+    /// the stream is striped across rails, the mux tag on a shared QP (a
+    /// MuxGroup's slots demultiplex on it), and the causal-tracing id
+    /// (0 = untraced).
+    std::function<void(bool indirect, std::uint64_t len,
+                       const verbs::ExtHeader& ext)>
         on_data;
-    /// Raw variant of on_data: when set, it is invoked INSTEAD of on_data
-    /// with the undecoded work completion (imm, stripe and mux extensions
-    /// included).  The slot channels of a MuxGroup hook this to demultiplex
-    /// arrivals by stream id before decoding; everything else leaves it
-    /// unset and keeps the decoded callback.
-    std::function<void(const verbs::WorkCompletion&)> on_data_raw;
     /// A locally posted data WWI completed (transport-acknowledged).
     std::function<void(std::uint64_t wr_id)> on_data_sent;
     /// A locally posted RDMA READ completed (data landed here).
@@ -118,17 +112,13 @@ class ChannelEndpoint {
   /// chunk is the bytes of `sges` in order (1..verbs::kMaxSge registered
   /// elements, gathered by the HCA into one work request); its length
   /// rides the imm.  Caller must have checked CanSend().  `wr_id` is
-  /// returned via on_data_sent.  When `has_stripe_seq`, the chunk carries
-  /// `stripe_seq` in an extended wire header (multi-rail striping) at
-  /// kStripeHeaderBytes extra cost.  `trace_ctx` rides as zero-cost
-  /// work-request metadata and surfaces in the peer's on_data callback
-  /// (0 = untraced).
+  /// returned via on_data_sent.  `ext` rides the work request to the
+  /// peer's on_data callback, at ExtHeader::WireBytes() extra wire cost; a
+  /// MuxStream stamps its tag into it.
   virtual void PostDataWwi(std::uint64_t wr_id,
                            std::span<const verbs::Sge> sges,
                            std::uint64_t remote_addr, std::uint32_t rkey,
-                           bool indirect, bool has_stripe_seq = false,
-                           std::uint64_t stripe_seq = 0,
-                           std::uint64_t trace_ctx = 0) = 0;
+                           bool indirect, const verbs::ExtHeader& ext) = 0;
   /// Ring the doorbell for any data posts this endpoint is holding back
   /// under doorbell batching (StreamOptions::Batching::doorbell).  A no-op
   /// on endpoints that post eagerly — the default everywhere.
@@ -149,15 +139,6 @@ class ChannelEndpoint {
 class ControlChannel : public ChannelEndpoint,
                        public simnet::IncomingHoldTarget {
  public:
-  /// Extra wire metadata stamped on data WWIs posted through a MuxStream;
-  /// absent (present == false) on every classic post.
-  struct MuxTag {
-    bool present = false;
-    std::uint32_t stream = 0;
-    std::uint64_t seq = 0;
-    std::uint8_t epoch = 0;
-  };
-
   /// `shared_slots` switches the receive side to SRQ mode: no private
   /// slab is allocated; Connect attaches the queue pair to the source's
   /// shared receive queue and reserves `credits` pool slots (the per-peer
@@ -211,18 +192,7 @@ class ControlChannel : public ChannelEndpoint,
 
   void PostDataWwi(std::uint64_t wr_id, std::span<const verbs::Sge> sges,
                    std::uint64_t remote_addr, std::uint32_t rkey,
-                   bool indirect, bool has_stripe_seq = false,
-                   std::uint64_t stripe_seq = 0,
-                   std::uint64_t trace_ctx = 0) override;
-
-  /// The one data-WR builder: PostDataWwi with a stream-multiplexing tag
-  /// stamped on the work request (kMuxHeaderBytes extra wire cost when
-  /// present).  The virtual override forwards here with an absent tag.
-  void PostDataWwiTagged(std::uint64_t wr_id, std::span<const verbs::Sge> sges,
-                         std::uint64_t remote_addr, std::uint32_t rkey,
-                         bool indirect, bool has_stripe_seq,
-                         std::uint64_t stripe_seq, std::uint64_t trace_ctx,
-                         const MuxTag& tag);
+                   bool indirect, const verbs::ExtHeader& ext) override;
 
   /// Arm doorbell batching: data WWIs accumulate in a pending list and are
   /// posted through QueuePair::PostSendBatch — one doorbell per batch —

@@ -153,8 +153,9 @@ std::size_t MuxGroup::Rotation::NextParked(std::size_t from,
 
 void MuxGroup::WireSlot(std::size_t slot) {
   ChannelEndpoint::Callbacks cb;
-  cb.on_data_raw = [this, slot](const verbs::WorkCompletion& wc) {
-    OnSlotDataRaw(slot, wc);
+  cb.on_data = [this](bool indirect, std::uint64_t len,
+                      const verbs::ExtHeader& ext) {
+    OnSlotData(indirect, len, ext);
   };
   cb.on_control = [this](const wire::ControlMessage& msg) {
     OnSlotControl(msg);
@@ -172,30 +173,28 @@ void MuxGroup::WireSlot(std::size_t slot) {
   slots_[slot]->set_callbacks(std::move(cb));
 }
 
-void MuxGroup::OnSlotDataRaw(std::size_t /*slot*/,
-                             const verbs::WorkCompletion& wc) {
-  EXS_CHECK_MSG(wc.has_mux, "untagged data WWI on a mux slot");
-  MuxStream* stream = FindStream(wc.mux_stream);
+void MuxGroup::OnSlotData(bool indirect, std::uint64_t len,
+                          const verbs::ExtHeader& ext) {
+  EXS_CHECK_MSG(ext.has_mux, "untagged data WWI on a mux slot");
+  MuxStream* stream = FindStream(ext.mux_stream);
   if (stream == nullptr) {
     ++stats_.orphan_drops;
     return;
   }
-  if (stream->dead_ || wc.mux_epoch != stream->epoch_) {
+  if (stream->dead_ || ext.mux_epoch != stream->epoch_) {
     ++stats_.stale_data_drops;
     return;
   }
   // Per-stream continuity through the shared QP: RC FIFO delivery means
   // each stream's arrivals are an in-order subsequence of its slot's.
-  EXS_CHECK_MSG(wc.mux_seq == stream->rx_expect_,
+  EXS_CHECK_MSG(ext.mux_seq == stream->rx_expect_,
                 "mux stream " << stream->id_ << " delivery out of order: got "
-                              << wc.mux_seq << ", expected "
+                              << ext.mux_seq << ", expected "
                               << stream->rx_expect_);
   ++stream->rx_expect_;
   ++stats_.data_delivered;
   if (stream->callbacks_.on_data) {
-    stream->callbacks_.on_data(wire::ImmIsIndirect(wc.imm),
-                               wire::ImmLength(wc.imm), wc.has_stripe_seq,
-                               wc.stripe_seq, wc.trace_ctx);
+    stream->callbacks_.on_data(indirect, len, ext);
   }
 }
 
@@ -317,17 +316,15 @@ void MuxStream::SendControl(wire::ControlMessage msg) {
 void MuxStream::PostDataWwi(std::uint64_t wr_id,
                             std::span<const verbs::Sge> sges,
                             std::uint64_t remote_addr, std::uint32_t rkey,
-                            bool indirect, bool has_stripe_seq,
-                            std::uint64_t stripe_seq,
-                            std::uint64_t trace_ctx) {
+                            bool indirect, const verbs::ExtHeader& ext) {
   EXS_CHECK_MSG(!group_alive_.expired(), "post on a stream whose group died");
   EXS_CHECK_MSG(!dead_, "post on a dead mux stream");
   NoteUnblocked();
-  ControlChannel::MuxTag tag;
-  tag.present = true;
-  tag.stream = id_;
-  tag.seq = tx_seq_++;
-  tag.epoch = epoch_;
+  verbs::ExtHeader tagged = ext;
+  tagged.has_mux = true;
+  tagged.mux_stream = id_;
+  tagged.mux_seq = tx_seq_++;
+  tagged.mux_epoch = epoch_;
   group_->slot_fifo_[slot_index_].push_back({id_, wr_id, epoch_});
   ++outstanding_;
   ++group_->stats_.data_posted;
@@ -336,8 +333,7 @@ void MuxStream::PostDataWwi(std::uint64_t wr_id,
     for (const verbs::Sge& sge : sges) len += sge.length;
     deficit_ -= std::min(deficit_, len);
   }
-  slot_->PostDataWwiTagged(wr_id, sges, remote_addr, rkey, indirect,
-                           has_stripe_seq, stripe_seq, trace_ctx, tag);
+  slot_->PostDataWwi(wr_id, sges, remote_addr, rkey, indirect, tagged);
 }
 
 void MuxStream::PostRead(std::uint64_t, void*, std::uint32_t, std::uint64_t,

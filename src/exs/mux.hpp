@@ -186,7 +186,8 @@ class MuxGroup {
   void WireSlot(std::size_t slot);
   void Detach(MuxStream& stream);
   void CompactIfSparse(Rotation& rotation);
-  void OnSlotDataRaw(std::size_t slot, const verbs::WorkCompletion& wc);
+  void OnSlotData(bool indirect, std::uint64_t len,
+                  const verbs::ExtHeader& ext);
   void OnSlotControl(const wire::ControlMessage& msg);
   void OnSlotDataSent(std::size_t slot, std::uint64_t wr_id);
   void OnSlotFatal(std::size_t slot, verbs::WcStatus status);
@@ -234,9 +235,7 @@ class MuxStream : public ChannelEndpoint {
   void SendControl(wire::ControlMessage msg) override;
   void PostDataWwi(std::uint64_t wr_id, std::span<const verbs::Sge> sges,
                    std::uint64_t remote_addr, std::uint32_t rkey,
-                   bool indirect, bool has_stripe_seq = false,
-                   std::uint64_t stripe_seq = 0,
-                   std::uint64_t trace_ctx = 0) override;
+                   bool indirect, const verbs::ExtHeader& ext) override;
   /// Rendezvous sockets keep dedicated channels; a muxed READ would bypass
   /// the credit layering entirely.
   void PostRead(std::uint64_t wr_id, void* dst, std::uint32_t lkey,

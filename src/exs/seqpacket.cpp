@@ -53,7 +53,7 @@ void SeqPacketTx::Pump() {
     const verbs::Sge sge{reinterpret_cast<std::uint64_t>(s.base),
                          static_cast<std::uint32_t>(bytes), s.lkey};
     ctx_.channel->PostDataWwi(s.id, {&sge, 1}, a.addr, a.rkey,
-                              /*indirect=*/false);
+                              /*indirect=*/false, verbs::ExtHeader{});
   }
 
   // Orderly close once every queued message has been posted.

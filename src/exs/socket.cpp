@@ -197,14 +197,14 @@ void Socket::WireCallbacks(std::size_t rail) {
     }
   };
   cb.on_data = [this, rail](bool indirect, std::uint64_t len,
-                            bool has_stripe_seq, std::uint64_t stripe_seq,
-                            std::uint64_t trace_ctx) {
+                            const verbs::ExtHeader& ext) {
     if (rx_) {
-      rx_->OnData(indirect, len, has_stripe_seq, stripe_seq, rail, trace_ctx);
+      rx_->OnData(indirect, len, ext, rail);
     } else {
       EXS_CHECK_MSG(packet_rx_ != nullptr,
                     "data WWI on a rendezvous connection");
-      EXS_CHECK_MSG(!has_stripe_seq, "stripe seq on a SEQPACKET connection");
+      EXS_CHECK_MSG(!ext.has_stripe_seq,
+                    "stripe seq on a SEQPACKET connection");
       packet_rx_->OnData(indirect, len);
     }
   };

@@ -453,10 +453,9 @@ class StreamRx {
   /// A data WWI arrived (dispatched from the rail it rode; `rail` is only
   /// descriptive — payload placement happened at the verbs layer).  On a
   /// striped connection the chunk joins the reorder buffer and chunks are
-  /// processed strictly in stripe-sequence order.
-  void OnData(bool indirect, std::uint64_t len, bool has_stripe_seq = false,
-              std::uint64_t stripe_seq = 0, std::size_t rail = 0,
-              std::uint64_t trace_ctx = 0);
+  /// processed strictly in the stripe-sequence order `ext` carries.
+  void OnData(bool indirect, std::uint64_t len, const verbs::ExtHeader& ext,
+              std::size_t rail);
   void OnCreditAvailable();
 
   /// Attach causal chunk tracing; see StreamTx::SetSpanCollector.  The

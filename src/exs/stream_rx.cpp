@@ -167,21 +167,21 @@ void StreamRx::SetStriping(std::uint32_t rails) {
   rails_ = rails;
 }
 
-void StreamRx::OnData(bool indirect, std::uint64_t len, bool has_stripe_seq,
-                      std::uint64_t stripe_seq, std::size_t rail,
-                      std::uint64_t trace_ctx) {
-  if (spans_ != nullptr && trace_ctx != 0) {
-    spans_->NoteArrive(trace_ctx, ctx_.scheduler->Now(), span_endpoint_,
+void StreamRx::OnData(bool indirect, std::uint64_t len,
+                      const verbs::ExtHeader& ext, std::size_t rail) {
+  if (spans_ != nullptr && ext.trace_ctx != 0) {
+    spans_->NoteArrive(ext.trace_ctx, ctx_.scheduler->Now(), span_endpoint_,
                        static_cast<std::uint32_t>(rail));
   }
+  const StripedChunk arrival{indirect, len, rail, ctx_.scheduler->Now(),
+                             ext.trace_ctx};
   if (rails_ <= 1) {
-    EXS_CHECK_MSG(!has_stripe_seq,
+    EXS_CHECK_MSG(!ext.has_stripe_seq,
                   "stripe sequence on a single-rail connection");
     // Never parked: zero reorder wait, recorded so per-rail counts stay
     // comparable across striped and classic runs.
-    RecordHolWait(
-        StripedChunk{indirect, len, rail, ctx_.scheduler->Now(), trace_ctx});
-    ProcessData(indirect, len, /*striped=*/false, 0, rail, trace_ctx);
+    RecordHolWait(arrival);
+    ProcessData(indirect, len, /*striped=*/false, 0, rail, ext.trace_ctx);
     return;
   }
   // Striped connection: park the notification until every predecessor in
@@ -190,14 +190,11 @@ void StreamRx::OnData(bool indirect, std::uint64_t len, bool has_stripe_seq,
   // destination address at post time, independent of the rail), so the
   // wait re-orders bookkeeping only — exs_recv() completion order and the
   // phase machinery see exactly the sender's submission order.
-  EXS_CHECK_MSG(has_stripe_seq, "striped connection requires a stripe seq");
-  EXS_CHECK_MSG(stripe_seq >= next_stripe_seq_, "stripe sequence regressed");
-  bool inserted =
-      stripe_reorder_
-          .emplace(stripe_seq, StripedChunk{indirect, len, rail,
-                                            ctx_.scheduler->Now(), trace_ctx})
-          .second;
-  EXS_CHECK_MSG(inserted, "duplicate stripe sequence " << stripe_seq);
+  EXS_CHECK_MSG(ext.has_stripe_seq, "striped connection requires a stripe seq");
+  EXS_CHECK_MSG(ext.stripe_seq >= next_stripe_seq_,
+                "stripe sequence regressed");
+  bool inserted = stripe_reorder_.emplace(ext.stripe_seq, arrival).second;
+  EXS_CHECK_MSG(inserted, "duplicate stripe sequence " << ext.stripe_seq);
   while (!stripe_reorder_.empty() &&
          stripe_reorder_.begin()->first == next_stripe_seq_) {
     StripedChunk chunk = stripe_reorder_.begin()->second;

@@ -523,8 +523,11 @@ void StreamTx::PostWwiChunk(PendingSend& s, std::uint64_t len,
     pos = end;
   }
   EXS_CHECK_MSG(left == 0, "chunk runs past the record's payload");
-  Rail(rail)->PostDataWwi(s.id, {chunk, n}, remote_addr, rkey, indirect,
-                          Striping(), stripe_seq_, trace_ctx);
+  verbs::ExtHeader ext;
+  ext.has_stripe_seq = Striping();
+  ext.stripe_seq = stripe_seq_;
+  ext.trace_ctx = trace_ctx;
+  Rail(rail)->PostDataWwi(s.id, {chunk, n}, remote_addr, rkey, indirect, ext);
 }
 
 void StreamTx::NoteTransfer(bool indirect) {

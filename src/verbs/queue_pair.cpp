@@ -193,22 +193,17 @@ void QueuePair::PostSendCharged(const SendWorkRequest& wr,
       device_->profile().emulate_wwi_with_send) {
     // Legacy iWARP has no WRITE WITH IMM: ship the data as a plain RDMA
     // WRITE and the notification as a trailing zero-payload SEND (§II-B).
-    // The pair costs two work requests and two wire messages.  The stripe
-    // sequence (when present) travels on the notification half — it is
-    // what consumes the receive and raises the upper layer's event.
+    // The pair costs two work requests and two wire messages.  The
+    // extension header travels on the notification half — it is what
+    // consumes the receive and raises the upper layer's event.
     pkt->wr.opcode = Opcode::kRdmaWrite;
     pkt->wr.has_imm = false;
-    pkt->wr.has_stripe_seq = false;
-    pkt->wr.stripe_seq = 0;
-    pkt->wr.has_mux = false;
-    pkt->wr.mux_stream = 0;
-    pkt->wr.mux_seq = 0;
-    pkt->wr.mux_epoch = 0;
+    pkt->wr.ext = {};
     pkt->suppress_success_completion = true;
     ScheduleTransmit(pkt, wr_cost);
 
     auto notify = std::make_shared<Packet>();
-    notify->wr = wr;  // keeps the WWI opcode, imm, stripe seq and wr_id
+    notify->wr = wr;  // keeps the WWI opcode, imm, extensions and wr_id
     notify->wr.sge = Sge{};
     notify->wr.num_sge = 1;
     notify->payload_len = 0;
@@ -240,10 +235,9 @@ void QueuePair::ScheduleTransmit(const PacketPtr& pkt, SimDuration wr_cost) {
 
 void QueuePair::Transmit(const PacketPtr& pkt) {
   if (killed_) return;  // flushed by Kill() before reaching the wire
-  std::uint64_t wire_bytes =
-      pkt->payload_len + kWireHeaderBytes + (pkt->wr.has_imm ? 4 : 0) +
-      (pkt->wr.has_stripe_seq ? kStripeHeaderBytes : 0) +
-      (pkt->wr.has_mux ? kMuxHeaderBytes : 0);
+  std::uint64_t wire_bytes = pkt->payload_len + kWireHeaderBytes +
+                             (pkt->wr.has_imm ? 4 : 0) +
+                             pkt->wr.ext.WireBytes();
   counters_->wire_bytes_sent.Add(wire_bytes);
   QueuePair* peer = peer_;
   tx_channel_->Transmit(wire_bytes, [this, peer, pkt] {
@@ -299,13 +293,7 @@ WcStatus QueuePair::Deliver(const PacketPtr& pkt, QueuePair& sender) {
     wc.status = WcStatus::kSuccess;
     wc.has_imm = wr.has_imm;
     wc.imm = wr.imm;
-    wc.has_stripe_seq = wr.has_stripe_seq;
-    wc.stripe_seq = wr.stripe_seq;
-    wc.has_mux = wr.has_mux;
-    wc.mux_stream = wr.mux_stream;
-    wc.mux_seq = wr.mux_seq;
-    wc.mux_epoch = wr.mux_epoch;
-    wc.trace_ctx = wr.trace_ctx;
+    wc.ext = wr.ext;
     wc.byte_len = static_cast<std::uint32_t>(pkt->notify_len);
     PushRecvCompletionLater(wc);
     return WcStatus::kSuccess;
@@ -345,13 +333,7 @@ WcStatus QueuePair::Deliver(const PacketPtr& pkt, QueuePair& sender) {
   wc.qp = this;
   wc.has_imm = wr.has_imm;
   wc.imm = wr.imm;
-  wc.has_stripe_seq = wr.has_stripe_seq;
-  wc.stripe_seq = wr.stripe_seq;
-  wc.has_mux = wr.has_mux;
-  wc.mux_stream = wr.mux_stream;
-  wc.mux_seq = wr.mux_seq;
-  wc.mux_epoch = wr.mux_epoch;
-  wc.trace_ctx = wr.trace_ctx;
+  wc.ext = wr.ext;
   wc.byte_len = static_cast<std::uint32_t>(pkt->payload_len);
 
   if (wr.opcode == Opcode::kSend) {

@@ -32,6 +32,33 @@ inline constexpr std::uint64_t kStripeHeaderBytes = 8;
 /// striping; a message may carry both extensions and pays for each.
 inline constexpr std::uint64_t kMuxHeaderBytes = 8;
 
+/// What a message carries beyond its immediate: each optional extension
+/// of the upper layers, in one value that rides the send work request and
+/// is surfaced verbatim in the receive-side completion.
+struct ExtHeader {
+  /// Per-stream delivery sequence number (multi-rail striping).
+  std::uint64_t stripe_seq = 0;
+  /// Stream multiplexing (shared-QP streams): the message's position in
+  /// its stream's delivery sequence, the stream (which of the QP's
+  /// streams it belongs to) and the stream's reconnect epoch (stale
+  /// in-flight messages from before a virtual kill are dropped by epoch).
+  std::uint64_t mux_seq = 0;
+  /// Opaque causal-tracing correlation id (common/spans.hpp); 0 = not
+  /// traced.  Pure metadata: it costs no wire bytes, so enabling tracing
+  /// cannot change timing.
+  std::uint64_t trace_ctx = 0;
+  std::uint32_t mux_stream = 0;
+  std::uint8_t mux_epoch = 0;
+  bool has_stripe_seq = false;
+  bool has_mux = false;
+
+  /// Extended-header bytes on the wire: one word per present extension.
+  std::uint64_t WireBytes() const {
+    return (has_stripe_seq ? kStripeHeaderBytes : 0) +
+           (has_mux ? kMuxHeaderBytes : 0);
+  }
+};
+
 enum class Opcode : std::uint8_t {
   kSend,              ///< channel semantics; consumes a receive at the peer
   kRdmaWrite,         ///< memory semantics; peer passive
@@ -127,33 +154,11 @@ struct SendWorkRequest {
 
   bool has_imm = false;
   std::uint32_t imm = 0;
-
-  /// Optional per-stream delivery sequence number carried in an extended
-  /// wire header (multi-rail striping); surfaced verbatim in the
-  /// receive-side completion.  Costs kStripeHeaderBytes on the wire.
-  bool has_stripe_seq = false;
-  std::uint64_t stripe_seq = 0;
-
-  /// Optional stream-multiplexing extension (shared-QP streams): which of
-  /// the QP's streams this message belongs to, its position in that
-  /// stream's delivery sequence, and the stream's reconnect epoch (stale
-  /// in-flight messages from before a virtual kill are dropped by epoch).
-  /// Surfaced verbatim in the receive-side completion; costs
-  /// kMuxHeaderBytes on the wire.
-  bool has_mux = false;
-  std::uint32_t mux_stream = 0;
-  std::uint64_t mux_seq = 0;
-  std::uint8_t mux_epoch = 0;
+  ExtHeader ext{};
 
   /// RDMA opcodes address peer memory through these.
   std::uint64_t remote_addr = 0;
   std::uint32_t rkey = 0;
-
-  /// Opaque causal-tracing correlation id (common/spans.hpp); 0 = not
-  /// traced.  Pure metadata — carried alongside the message and surfaced
-  /// in the receive-side completion, but charged zero wire bytes, so
-  /// enabling tracing cannot change timing.
-  std::uint64_t trace_ctx = 0;
 };
 
 struct RecvWorkRequest {
@@ -169,17 +174,8 @@ struct WorkCompletion {
   std::uint32_t byte_len = 0;
   bool has_imm = false;
   std::uint32_t imm = 0;
-  /// Stripe sequence number from the extended header, if present.
-  bool has_stripe_seq = false;
-  std::uint64_t stripe_seq = 0;
-  /// Stream-multiplexing extension from the wire header, if present.
-  bool has_mux = false;
-  std::uint32_t mux_stream = 0;
-  std::uint64_t mux_seq = 0;
-  std::uint8_t mux_epoch = 0;
-  /// Causal-tracing correlation id copied from the originating send work
-  /// request (0 = untraced).
-  std::uint64_t trace_ctx = 0;
+  /// The originating send work request's extensions.
+  ExtHeader ext{};
   QueuePair* qp = nullptr;
 };
 

@@ -76,13 +76,13 @@ class VerbsExtraTest : public ::testing::Test {
                                      const std::vector<std::uint8_t>& dst,
                                      const MemoryRegion& dst_mr) {
     SendWorkRequest wr = PlainWwi(src, src_mr, dst, dst_mr);
-    wr.has_stripe_seq = true;
-    wr.stripe_seq = 41;
-    wr.has_mux = true;
-    wr.mux_stream = 7;
-    wr.mux_seq = 12;
-    wr.mux_epoch = 3;
-    wr.trace_ctx = 99;
+    wr.ext.has_stripe_seq = true;
+    wr.ext.stripe_seq = 41;
+    wr.ext.has_mux = true;
+    wr.ext.mux_stream = 7;
+    wr.ext.mux_seq = 12;
+    wr.ext.mux_epoch = 3;
+    wr.ext.trace_ctx = 99;
     return wr;
   }
 
@@ -92,13 +92,13 @@ class VerbsExtraTest : public ::testing::Test {
     EXPECT_EQ(wc.byte_len, 128u);
     EXPECT_TRUE(wc.has_imm);
     EXPECT_EQ(wc.imm, 0x1234u);
-    EXPECT_TRUE(wc.has_stripe_seq);
-    EXPECT_EQ(wc.stripe_seq, 41u);
-    EXPECT_TRUE(wc.has_mux);
-    EXPECT_EQ(wc.mux_stream, 7u);
-    EXPECT_EQ(wc.mux_seq, 12u);
-    EXPECT_EQ(wc.mux_epoch, 3u);
-    EXPECT_EQ(wc.trace_ctx, 99u);
+    EXPECT_TRUE(wc.ext.has_stripe_seq);
+    EXPECT_EQ(wc.ext.stripe_seq, 41u);
+    EXPECT_TRUE(wc.ext.has_mux);
+    EXPECT_EQ(wc.ext.mux_stream, 7u);
+    EXPECT_EQ(wc.ext.mux_seq, 12u);
+    EXPECT_EQ(wc.ext.mux_epoch, 3u);
+    EXPECT_EQ(wc.ext.trace_ctx, 99u);
   }
 
   simnet::Fabric fabric_;
@@ -197,9 +197,9 @@ TEST_F(VerbsExtraTest, WwiExtensionsReachTheCompletionAndCostTheirWords) {
   ASSERT_TRUE(b->recv_cq->Poll(&wc));
   EXPECT_EQ(wc.wr_id, 2u);
   EXPECT_TRUE(wc.has_imm);
-  EXPECT_FALSE(wc.has_stripe_seq);
-  EXPECT_FALSE(wc.has_mux);
-  EXPECT_EQ(wc.trace_ctx, 0u);
+  EXPECT_FALSE(wc.ext.has_stripe_seq);
+  EXPECT_FALSE(wc.ext.has_mux);
+  EXPECT_EQ(wc.ext.trace_ctx, 0u);
 }
 
 // Under legacy-iWARP WWI emulation the data half is a plain RDMA WRITE:
