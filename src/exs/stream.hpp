@@ -24,7 +24,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ring_buffer.hpp"
@@ -226,11 +225,12 @@ class StreamTx {
   // Introspection for tests and invariant checks.
   std::uint64_t phase() const { return phase_; }
   std::uint64_t sequence() const { return seq_; }
-  std::size_t PendingSends() const { return inflight_.size() + staged_.size(); }
   std::uint64_t RemoteRingFree() const { return remote_ring_.free(); }
   std::size_t StagedSends() const { return staged_.size(); }
   std::uint64_t StagedBytes() const { return staged_bytes_; }
-  bool Quiescent() const { return inflight_.empty() && staged_.empty(); }
+  bool Quiescent() const {
+    return chunk_queue_.empty() && wwis_in_flight_ == 0 && staged_.empty();
+  }
   std::size_t RailCount() const { return rail_count_; }
   std::uint64_t NextStripeSeq() const { return stripe_seq_; }
 
@@ -310,14 +310,15 @@ class StreamTx {
   /// posts until here); the loop body itself lives in PumpChunks.
   void Pump();
   void PumpChunks();
-  void PostDirect(PendingSend& s, Advert& advert, std::uint64_t len,
-                  std::size_t rail);
-  void PostIndirect(PendingSend& s, std::uint64_t len, std::size_t rail);
-  /// Post one chunk of `s` — [s.sent, s.sent+len) — as a WWI on `rail`,
-  /// gathered from the record's elements.
-  void PostWwiChunk(PendingSend& s, std::uint64_t len,
-                    std::uint64_t remote_addr, std::uint32_t rkey,
-                    bool indirect, std::size_t rail, std::uint64_t trace_ctx);
+  void PostDirect(const std::shared_ptr<PendingSend>& rec, Advert& advert,
+                  std::uint64_t len, std::size_t rail);
+  void PostIndirect(const std::shared_ptr<PendingSend>& rec,
+                    std::uint64_t len, std::size_t rail);
+  /// Post one chunk of `rec` — [sent, sent+len) — as a WWI on `rail`,
+  /// gathered from the record's elements, and queue its PostedChunk.
+  void PostWwiChunk(const std::shared_ptr<PendingSend>& rec,
+                    std::uint64_t len, std::uint64_t remote_addr,
+                    std::uint32_t rkey, bool indirect, std::size_t rail);
   void NoteTransfer(bool indirect);
   bool Striping() const { return rail_count_ > 1; }
   ChannelEndpoint* Rail(std::size_t rail) const { return rails_[rail].get(); }
@@ -328,9 +329,6 @@ class StreamTx {
   /// CanSend() gate.
   static constexpr std::size_t kNoRail = ~std::size_t{0};
   std::size_t PickRail() const;
-  /// Per-rail outstanding-byte accounting at post time; also advances the
-  /// stripe sequence.
-  void NoteStripePosted(std::size_t rail, std::uint64_t len);
   /// The one send-record builder behind Submit and SubmitV: completes a
   /// zero-length send at once, stages a small one when `may_stage` (Submit
   /// only), and otherwise flushes staged bytes ahead of it, snapshots the
@@ -348,9 +346,8 @@ class StreamTx {
   /// other callers run Pump() afterwards.
   void FlushCoalesced(CoalesceFlushReason reason);
   /// Report completion: one event per member for a coalesced aggregate (in
-  /// submission order), else a single event.  Takes the record by value —
-  /// it erases the inflight_ entry that may be the last other owner.
-  void CompleteSend(std::shared_ptr<PendingSend> rec);
+  /// submission order), else a single event.
+  void CompleteSend(PendingSend& rec);
   /// Advance P_s, recording how long we dwelt in the phase being left and
   /// tracing the change (phase dwell histograms are keyed by the *old*
   /// phase's parity).
@@ -384,7 +381,22 @@ class StreamTx {
   std::uint32_t remote_ring_rkey_ = 0;
   std::deque<Advert> advert_queue_;                        ///< q_A
   std::deque<std::shared_ptr<PendingSend>> chunk_queue_;   ///< not fully sent
-  std::unordered_map<std::uint64_t, std::shared_ptr<PendingSend>> inflight_;
+  /// One posted chunk awaiting its local completion: the send it carries
+  /// bytes of (kept alive until then), its length and its trace id.
+  struct PostedChunk {
+    std::shared_ptr<PendingSend> send;
+    std::uint64_t len = 0;
+    std::uint64_t trace_ctx = 0;
+  };
+  /// A rail's posted chunks, oldest first from `head`.  Each queue pair
+  /// completes in post order, so the head is the chunk the rail's next
+  /// completion retires.  A vector and an index, not a std::deque, which
+  /// allocates 576 B as it is built.
+  struct RailChunks {
+    std::vector<PostedChunk> chunks;
+    std::size_t head = 0;
+  };
+  std::vector<RailChunks> posted_;  ///< by rail, grown at a rail's first post
   // Recovery (all dormant while !RecoveryOn()).  The retransmission log
   // holds every queued record, payload snapshotted at Submit, until the
   // receiver's delivered frontier passes it *and* its completion event has
@@ -398,20 +410,13 @@ class StreamTx {
   bool shutdown_sent_ = false;
   // Multi-rail striping state: chunks ride the first rail_count_ rails
   // (1 = classic single-rail mode, which reads no per-rail accounting).
-  // Completions on one rail return in post order (RC FIFO per QP), so a
-  // per-rail deque of posted chunk lengths is enough to account
-  // outstanding bytes for PickRail.
   std::span<const std::unique_ptr<ChannelEndpoint>> rails_;
   std::size_t rail_count_ = 1;
   std::uint64_t stripe_seq_ = 0;        ///< next delivery sequence number
-  std::vector<std::uint64_t> rail_outstanding_;       ///< bytes in flight
-  std::vector<std::deque<std::uint64_t>> rail_fifo_;  ///< chunk lens, FIFO
-  // Causal chunk tracing (null = off).  Completions on one rail return in
-  // post order, so a per-rail FIFO of chunk trace ids (0 = unsampled)
-  // pairs each WR completion with its record.
+  std::vector<std::uint64_t> rail_outstanding_;  ///< bytes in flight
+  // Causal chunk tracing (null = off).
   spans::SpanCollector* spans_ = nullptr;
   std::uint64_t span_endpoint_ = 0;
-  std::vector<std::deque<std::uint64_t>> span_tx_fifo_;
   /// Submit time of the oldest send in the staging buffer (aggregate
   /// provenance: a coalesced chunk's staging span starts here).
   SimTime staged_first_time_ = 0;

@@ -26,11 +26,11 @@ void StreamTx::SetRemoteRing(std::uint64_t addr, std::uint32_t rkey,
 void StreamTx::SetStriping(std::size_t rails) {
   EXS_CHECK_MSG(rails > 1 && rails <= rails_.size(),
                 "striping needs 2.." << rails_.size() << " rails");
-  EXS_CHECK_MSG(inflight_.empty() && stripe_seq_ == 0,
+  EXS_CHECK_MSG(chunk_queue_.empty() && wwis_in_flight_ == 0 &&
+                    stripe_seq_ == 0,
                 "rails must be attached before any data moves");
   rail_count_ = rails;
   rail_outstanding_.assign(rails, 0);
-  rail_fifo_.assign(rails, {});
 }
 
 std::size_t StreamTx::PickRail() const {
@@ -45,13 +45,6 @@ std::size_t StreamTx::PickRail() const {
     }
   }
   return best;
-}
-
-void StreamTx::NoteStripePosted(std::size_t rail, std::uint64_t len) {
-  if (!Striping()) return;
-  ++stripe_seq_;
-  rail_outstanding_[rail] += len;
-  rail_fifo_[rail].push_back(len);
 }
 
 void StreamTx::Submit(std::uint64_t id, const void* buf, std::uint64_t len,
@@ -122,7 +115,6 @@ void StreamTx::Enqueue(std::uint64_t id, std::span<const verbs::Sge> sges,
     std::copy(sges.begin(), sges.end(), rec->sges.begin());
     rec->num_sges = static_cast<std::uint32_t>(sges.size());
   }
-  inflight_.emplace(id, rec);
   chunk_queue_.push_back(rec);
   NoteQueued(rec);
   Pump();
@@ -236,7 +228,6 @@ void StreamTx::FlushCoalesced(CoalesceFlushReason reason) {
       ctx_.metrics->coalesce_flush_ordering.Increment();
       break;
   }
-  inflight_.emplace(rec->id, rec);
   NoteQueued(rec);  // the aggregate already owns its payload
   chunk_queue_.push_back(std::move(rec));
 }
@@ -345,7 +336,8 @@ void StreamTx::Pump() {
 
 void StreamTx::PumpChunks() {
   while (!chunk_queue_.empty()) {
-    PendingSend& s = *chunk_queue_.front();
+    const std::shared_ptr<PendingSend>& front = chunk_queue_.front();
+    PendingSend& s = *front;
     EXS_CHECK(s.sent < s.len);
 
     if (!advert_queue_.empty()) {
@@ -389,7 +381,7 @@ void StreamTx::PumpChunks() {
       }
       std::uint64_t len =
           NextChunkLen(s.len - s.sent, advert.len - advert.filled, MaxChunk());
-      PostDirect(s, advert, len, rail);
+      PostDirect(front, advert, len, rail);
       seq_ += len;
       s.sent += len;
       advert.filled += len;
@@ -409,7 +401,7 @@ void StreamTx::PumpChunks() {
         // First indirect transfer of a burst (Fig. 2 lines 18-20).
         AdvancePhaseTo(NextPhase(phase_));
       }
-      PostIndirect(s, len, rail);
+      PostIndirect(front, len, rail);
       seq_ += len;
       s.sent += len;
     } else {
@@ -423,7 +415,7 @@ void StreamTx::PumpChunks() {
       if (rec->wwis_outstanding == 0) {
         // All chunks already completed locally (possible with inline-fast
         // paths); report completion now.
-        CompleteSend(std::move(rec));
+        CompleteSend(*rec);
       }
     }
   }
@@ -445,8 +437,8 @@ void StreamTx::PumpChunks() {
   }
 }
 
-void StreamTx::PostDirect(PendingSend& s, Advert& advert, std::uint64_t len,
-                          std::size_t rail) {
+void StreamTx::PostDirect(const std::shared_ptr<PendingSend>& rec,
+                          Advert& advert, std::uint64_t len, std::size_t rail) {
   // Striped posts log (stripe_seq, rail) in the trace's spare fields so
   // the invariant checker can audit reassembly; single-rail posts keep the
   // classic zeros and an unchanged golden fingerprint.
@@ -455,51 +447,38 @@ void StreamTx::PostDirect(PendingSend& s, Advert& advert, std::uint64_t len,
   NoteTransfer(/*indirect=*/false);
   ctx_.metrics->direct_transfers.Increment();
   ctx_.metrics->direct_bytes.Add(len);
-  ++s.wwis_outstanding;
-  NoteWwisInFlight(+1);
-  std::uint64_t trace_ctx = 0;
-  if (spans_ != nullptr) {
-    trace_ctx = spans_->BeginChunk(
-        span_endpoint_, s.submit_time, s.flush_time, ctx_.scheduler->Now(),
-        len, /*indirect=*/false, s.coalesced,
-        static_cast<std::uint32_t>(rail));
-    if (span_tx_fifo_.size() <= rail) span_tx_fifo_.resize(rail + 1);
-    span_tx_fifo_[rail].push_back(trace_ctx);
-  }
-  PostWwiChunk(s, len, advert.addr + advert.filled, advert.rkey,
-               /*indirect=*/false, rail, trace_ctx);
-  NoteStripePosted(rail, len);
+  PostWwiChunk(rec, len, advert.addr + advert.filled, advert.rkey,
+               /*indirect=*/false, rail);
 }
 
-void StreamTx::PostIndirect(PendingSend& s, std::uint64_t len,
-                            std::size_t rail) {
+void StreamTx::PostIndirect(const std::shared_ptr<PendingSend>& rec,
+                            std::uint64_t len, std::size_t rail) {
   Trace(TraceEventType::kIndirectPosted, len, Striping() ? stripe_seq_ : 0,
         Striping() ? rail : 0);
   NoteTransfer(/*indirect=*/true);
   ctx_.metrics->indirect_transfers.Increment();
   ctx_.metrics->indirect_bytes.Add(len);
-  ++s.wwis_outstanding;
-  NoteWwisInFlight(+1);
   std::uint64_t offset = remote_ring_.write_offset();
   remote_ring_.CommitWrite(len);
-  std::uint64_t trace_ctx = 0;
-  if (spans_ != nullptr) {
-    trace_ctx = spans_->BeginChunk(
-        span_endpoint_, s.submit_time, s.flush_time, ctx_.scheduler->Now(),
-        len, /*indirect=*/true, s.coalesced,
-        static_cast<std::uint32_t>(rail));
-    if (span_tx_fifo_.size() <= rail) span_tx_fifo_.resize(rail + 1);
-    span_tx_fifo_[rail].push_back(trace_ctx);
-  }
-  PostWwiChunk(s, len, remote_ring_addr_ + offset, remote_ring_rkey_,
-               /*indirect=*/true, rail, trace_ctx);
-  NoteStripePosted(rail, len);
+  PostWwiChunk(rec, len, remote_ring_addr_ + offset, remote_ring_rkey_,
+               /*indirect=*/true, rail);
 }
 
-void StreamTx::PostWwiChunk(PendingSend& s, std::uint64_t len,
-                            std::uint64_t remote_addr, std::uint32_t rkey,
-                            bool indirect, std::size_t rail,
-                            std::uint64_t trace_ctx) {
+void StreamTx::PostWwiChunk(const std::shared_ptr<PendingSend>& rec,
+                            std::uint64_t len, std::uint64_t remote_addr,
+                            std::uint32_t rkey, bool indirect,
+                            std::size_t rail) {
+  PendingSend& s = *rec;
+  ++s.wwis_outstanding;
+  NoteWwisInFlight(+1);
+  verbs::ExtHeader ext;
+  ext.has_stripe_seq = Striping();
+  ext.stripe_seq = stripe_seq_;
+  if (spans_ != nullptr) {
+    ext.trace_ctx = spans_->BeginChunk(
+        span_endpoint_, s.submit_time, s.flush_time, ctx_.scheduler->Now(),
+        len, indirect, s.coalesced, static_cast<std::uint32_t>(rail));
+  }
   // Gather [s.sent, s.sent + len) from the record's elements: skip those
   // that end before the chunk (zero-length ones always do) and trim the
   // first and last.  A record holds at most kMaxSge elements, so the
@@ -523,10 +502,12 @@ void StreamTx::PostWwiChunk(PendingSend& s, std::uint64_t len,
     pos = end;
   }
   EXS_CHECK_MSG(left == 0, "chunk runs past the record's payload");
-  verbs::ExtHeader ext;
-  ext.has_stripe_seq = Striping();
-  ext.stripe_seq = stripe_seq_;
-  ext.trace_ctx = trace_ctx;
+  if (posted_.size() <= rail) posted_.resize(rail + 1);
+  posted_[rail].chunks.push_back({rec, len, ext.trace_ctx});
+  if (Striping()) {
+    ++stripe_seq_;
+    rail_outstanding_[rail] += len;
+  }
   Rail(rail)->PostDataWwi(s.id, {chunk, n}, remote_addr, rkey, indirect, ext);
 }
 
@@ -538,31 +519,37 @@ void StreamTx::NoteTransfer(bool indirect) {
 }
 
 void StreamTx::OnWwiComplete(std::uint64_t wr_id, std::size_t rail) {
-  auto it = inflight_.find(wr_id);
-  EXS_CHECK_MSG(it != inflight_.end(), "completion for unknown send");
-  PendingSend& s = *it->second;
+  // Per-QP completions return in post order, so the head of the rail's
+  // FIFO is exactly the chunk that completed.
+  RailChunks* fifo = rail < posted_.size() ? &posted_[rail] : nullptr;
+  EXS_CHECK_MSG(fifo != nullptr && fifo->head < fifo->chunks.size() &&
+                    fifo->chunks[fifo->head].send->id == wr_id,
+                "completion for unknown send");
+  const PostedChunk chunk = std::move(fifo->chunks[fifo->head++]);
+  if (fifo->head == fifo->chunks.size()) {
+    fifo->chunks = std::vector<PostedChunk>();  // an idle rail holds none
+    fifo->head = 0;
+  } else if (2 * fifo->head >= fifo->chunks.size()) {
+    // Drop the completed prefix once it is half the vector: O(1) per
+    // chunk amortised, and storage stays within twice the chunks in
+    // flight.
+    fifo->chunks.erase(fifo->chunks.begin(),
+                       fifo->chunks.begin() + fifo->head);
+    fifo->head = 0;
+  }
+  PendingSend& s = *chunk.send;
   EXS_CHECK(s.wwis_outstanding > 0);
   --s.wwis_outstanding;
   NoteWwisInFlight(-1);
-  if (spans_ != nullptr && rail < span_tx_fifo_.size() &&
-      !span_tx_fifo_[rail].empty()) {
-    // Per-QP completions return in post order: the FIFO head is the chunk
-    // this completion retires (empty only if tracing attached mid-run).
-    spans_->NoteTxComplete(span_tx_fifo_[rail].front(),
-                           ctx_.scheduler->Now());
-    span_tx_fifo_[rail].pop_front();
+  if (spans_ != nullptr) {
+    spans_->NoteTxComplete(chunk.trace_ctx, ctx_.scheduler->Now());
   }
   if (Striping()) {
-    // Per-QP completions return in post order, so the head of the rail's
-    // FIFO is exactly the chunk that completed.
-    EXS_CHECK(!rail_fifo_[rail].empty());
-    std::uint64_t len = rail_fifo_[rail].front();
-    rail_fifo_[rail].pop_front();
-    EXS_CHECK(rail_outstanding_[rail] >= len);
-    rail_outstanding_[rail] -= len;
+    EXS_CHECK(rail_outstanding_[rail] >= chunk.len);
+    rail_outstanding_[rail] -= chunk.len;
   }
   if (s.fully_chunked && s.wwis_outstanding == 0) {
-    CompleteSend(it->second);
+    CompleteSend(s);
   }
   if (Striping() && shutdown_requested_ && !shutdown_sent_ &&
       wwis_in_flight_ == 0) {
@@ -570,24 +557,22 @@ void StreamTx::OnWwiComplete(std::uint64_t wr_id, std::size_t rail) {
   }
 }
 
-void StreamTx::CompleteSend(std::shared_ptr<PendingSend> rec) {
-  inflight_.erase(rec->id);
+void StreamTx::CompleteSend(PendingSend& rec) {
   // A record can reach here twice under recovery: once normally, and once
   // when a resume finds it fully delivered (its flushed WR completions can
   // never arrive).  The application sees exactly one event either way.
-  if (rec->completion_reported) return;
-  rec->completion_reported = true;
-  if (rec->members.empty()) {
+  if (rec.completion_reported) return;
+  rec.completion_reported = true;
+  if (rec.members.empty()) {
     ctx_.metrics->sends_completed.Increment();
-    ctx_.metrics->bytes_sent.Add(rec->len);
-    ctx_.events->Push(
-        Event{EventType::kSendComplete, rec->id, rec->len, false});
+    ctx_.metrics->bytes_sent.Add(rec.len);
+    ctx_.events->Push(Event{EventType::kSendComplete, rec.id, rec.len, false});
     return;
   }
   // Coalesced aggregate: fan completion out to every member, in the order
   // the application submitted them — callers cannot tell their sends were
   // merged on the wire.
-  for (const StagedSend& m : rec->members) {
+  for (const StagedSend& m : rec.members) {
     ctx_.metrics->sends_completed.Increment();
     ctx_.metrics->bytes_sent.Add(m.len);
     ctx_.events->Push(Event{EventType::kSendComplete, m.id, m.len, false});
@@ -618,14 +603,13 @@ void StreamTx::ResumeTx(const ResumeInfo& info) {
   if (wwis_in_flight_ != 0) {
     NoteWwisInFlight(-static_cast<std::int64_t>(wwis_in_flight_));
   }
+  posted_.clear();
 
   // Rail failover: adopt the surviving rail set and restart the stripe
   // sequence space (the receiver restarts its reorder expectation too).
   rail_count_ = info.rails;
   stripe_seq_ = 0;
   rail_outstanding_.assign(rail_count_, 0);
-  rail_fifo_.assign(rail_count_, {});
-  span_tx_fifo_.clear();  // chunk spans across a resume are best-effort
 
   // Rebuild the chunk queue from the retransmission log.  Records wholly
   // below the frontier are done — but the kill may have flushed the WR
@@ -633,7 +617,6 @@ void StreamTx::ResumeTx(const ResumeInfo& info) {
   // (CompleteSend dedups).  Records straddling or beyond the frontier are
   // re-queued to retransmit their unacknowledged suffix.
   chunk_queue_.clear();
-  inflight_.clear();
   std::uint64_t retransmit = 0;
   std::deque<std::shared_ptr<PendingSend>> survivors;
   for (auto& rec : sent_log_) {
@@ -641,7 +624,7 @@ void StreamTx::ResumeTx(const ResumeInfo& info) {
       rec->sent = rec->len;
       rec->fully_chunked = true;
       rec->wwis_outstanding = 0;
-      CompleteSend(rec);
+      CompleteSend(*rec);
       continue;
     }
     std::uint64_t new_sent =
@@ -651,7 +634,6 @@ void StreamTx::ResumeTx(const ResumeInfo& info) {
     rec->sent = new_sent;
     rec->fully_chunked = false;
     rec->wwis_outstanding = 0;
-    inflight_.emplace(rec->id, rec);
     chunk_queue_.push_back(rec);
     survivors.push_back(rec);
   }
