@@ -107,6 +107,7 @@ void ControlChannel::ResetForResume() {
   fatal_notified_ = false;
   hold_until_ = 0;
   pending_wrs_.clear();  // MarkDead already flushed; belt and braces
+  for (const verbs::WorkCompletion& wc : deferred_) NoteDroppedArrival(wc);
   deferred_.clear();
   owed_credits_ = 0;
   remote_credits_ = 0;
@@ -309,7 +310,10 @@ void ControlChannel::OnSendCompletion(const verbs::WorkCompletion& wc) {
 }
 
 void ControlChannel::OnRecvCompletion(const verbs::WorkCompletion& wc) {
-  if (wc.qp != qp_.get()) return;  // late completion from a parked dead QP
+  if (wc.qp != qp_.get()) {  // late completion from a parked dead QP
+    NoteDroppedArrival(wc);
+    return;
+  }
   // The deferred-queue check keeps arrival order: once anything is held,
   // everything behind it queues too, even after the hold window expires.
   if (device_->scheduler().Now() < hold_until_ || !deferred_.empty()) {
@@ -347,9 +351,10 @@ void ControlChannel::ProcessRecvCompletion(const verbs::WorkCompletion& wc) {
       EXS_CHECK_MSG(wc.status == verbs::WcStatus::kWrFlushError,
                     "receive failed: " << verbs::ToString(wc.status));
       MarkDead(wc.status);
-    } else if (shared_slots_ != nullptr) {
-      shared_slots_->RepostSlot(wc.wr_id);
+      return;
     }
+    NoteDroppedArrival(wc);
+    if (shared_slots_ != nullptr) shared_slots_->RepostSlot(wc.wr_id);
     return;
   }
   // Recycle the consumed slot right away so the pool never shrinks.  In
@@ -396,6 +401,13 @@ void ControlChannel::ProcessRecvCompletion(const verbs::WorkCompletion& wc) {
     callbacks_.on_credit_available();
   }
   MaybeSendStandaloneCredit();
+}
+
+void ControlChannel::NoteDroppedArrival(const verbs::WorkCompletion& wc) {
+  if (wc.status == verbs::WcStatus::kSuccess &&
+      wc.opcode == verbs::WcOpcode::kRecvRdmaWithImm) {
+    ++dropped_data_wwis_;
+  }
 }
 
 void ControlChannel::MaybeSendStandaloneCredit() {

@@ -259,6 +259,10 @@ class ControlChannel : public ChannelEndpoint,
   std::uint64_t credit_messages_sent() const {
     return credit_messages_->value();
   }
+  /// Data WWIs that reached this channel's queue pair but were dispatched
+  /// to no one because the channel had died first: delivered just before
+  /// the death, or landing on a queue pair a reconnect has parked.
+  std::uint64_t dropped_data_wwis() const { return dropped_data_wwis_; }
 
  private:
   void FlushSendBatch();
@@ -266,6 +270,8 @@ class ControlChannel : public ChannelEndpoint,
   void OnSendCompletion(const verbs::WorkCompletion& wc);
   void OnRecvCompletion(const verbs::WorkCompletion& wc);
   void ProcessRecvCompletion(const verbs::WorkCompletion& wc);
+  /// `wc` arrived at a dead channel: count it if it is a data WWI.
+  void NoteDroppedArrival(const verbs::WorkCompletion& wc);
   void MarkDead(verbs::WcStatus reason);
   void ResetForResume();
   void DrainDeferred();
@@ -302,6 +308,7 @@ class ControlChannel : public ChannelEndpoint,
 
   std::uint32_t remote_credits_ = 0;  ///< peer receives we may consume
   std::uint32_t owed_credits_ = 0;    ///< reposted receives not yet reported
+  std::uint64_t dropped_data_wwis_ = 0;
   metrics::Counter own_credit_messages_;
   metrics::Counter* credit_messages_ = &own_credit_messages_;
   metrics::TimeWeightedSeries* credit_series_ = nullptr;

@@ -665,20 +665,30 @@ InvariantReport CheckConnection(Socket& a, Socket& b) {
 
 namespace {
 
-/// One direction of rule (a): everything `tx` posted is accounted at `rx`.
+/// One direction of rule (a): everything `tx` posted is accounted at `rx`,
+/// or was swallowed by a slot's death — it never reached a live peer queue
+/// pair (counted on tx's slot queue pairs), or its completion found rx's
+/// slot channel dead (counted there).
 void CheckMuxConservation(InvariantReport& report, const char* label,
-                          const MuxGroupStats& tx, const MuxGroupStats& rx) {
+                          const MuxGroup& tx, const MuxGroup& rx) {
   ++report.events_checked;
+  std::uint64_t swallowed = 0;
+  for (std::size_t slot = 0; slot < tx.width(); ++slot) {
+    swallowed += tx.slot(slot).qp_stats().wwis_unreached +
+                 rx.slot(slot).dropped_data_wwis();
+  }
+  const MuxGroupStats& in = rx.stats();
   std::uint64_t accounted =
-      rx.data_delivered + rx.stale_data_drops + rx.orphan_drops;
-  if (tx.data_posted != accounted) {
+      in.data_delivered + in.stale_data_drops + in.orphan_drops + swallowed;
+  if (tx.stats().data_posted != accounted) {
     std::ostringstream oss;
-    oss << label << ": mux data conservation broken — " << tx.data_posted
-        << " WWI(s) posted but peer accounts " << accounted << " ("
-        << rx.data_delivered << " delivered + " << rx.stale_data_drops
-        << " epoch-stale + " << rx.orphan_drops
-        << " orphaned); a message vanished inside the mux layer (or the "
-           "groups were not quiescent when checked)";
+    oss << label << ": mux data conservation broken — "
+        << tx.stats().data_posted << " WWI(s) posted but peer accounts "
+        << accounted << " (" << in.data_delivered << " delivered + "
+        << in.stale_data_drops << " epoch-stale + " << in.orphan_drops
+        << " orphaned + " << swallowed
+        << " swallowed by dead slots); a message vanished inside the mux "
+           "layer (or the groups were not quiescent when checked)";
     report.violations.push_back(oss.str());
   }
 }
@@ -742,8 +752,8 @@ InvariantReport CheckMuxGroupPair(const MuxGroup& a, const MuxGroup& b) {
     report.violations.push_back("mux group widths differ");
     return report;
   }
-  CheckMuxConservation(report, "a->b", a.stats(), b.stats());
-  CheckMuxConservation(report, "b->a", b.stats(), a.stats());
+  CheckMuxConservation(report, "a->b", a, b);
+  CheckMuxConservation(report, "b->a", b, a);
   for (std::size_t slot = 0; slot < a.width(); ++slot) {
     CheckMuxSlotCredits(report, "a->b", slot, a.slot(slot), b.slot(slot));
     CheckMuxSlotCredits(report, "b->a", slot, b.slot(slot), a.slot(slot));

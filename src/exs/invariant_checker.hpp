@@ -122,7 +122,9 @@ InvariantReport CheckConnection(Socket& a, Socket& b);
 /// *quiescent* connected group pair — call only when no messages are in
 /// flight (the simulator's event queue drained):
 ///   (a) every data WWI one group posted is accounted at its peer as
-///       delivered, epoch-stale, or orphaned — nothing vanishes inside the
+///       delivered, epoch-stale, or orphaned, or was swallowed by a dead
+///       slot (it never reached a live peer queue pair, or its completion
+///       found the peer slot channel dead) — nothing vanishes inside the
 ///       mux layer (both directions);
 ///   (b) per-stream continuity: for every live stream pair in the same
 ///       epoch, the sender's tx_seq equals the receiver's rx_expect (the

@@ -78,7 +78,9 @@ struct MuxOptions {
 /// Counter-conservation surface for the invariant checker: at quiescence
 /// every data WWI group A posted is accounted at its peer B as delivered,
 /// epoch-stale, or orphaned — data_posted(A) == data_delivered(B) +
-/// stale_data_drops(B) + orphan_drops(B).
+/// stale_data_drops(B) + orphan_drops(B) — unless a slot's death
+/// swallowed it, which A's slot queue pairs count as wwis_unreached and
+/// B's slot channels as dropped_data_wwis().
 struct MuxGroupStats {
   std::uint64_t streams_attached = 0;
   std::uint64_t streams_detached = 0;

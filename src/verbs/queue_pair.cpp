@@ -43,6 +43,7 @@ QueuePairStats QueuePairCounters::Stats() const {
           .length_errors = length_errors.value(),
           .srq_recvs_consumed = srq_recvs_consumed.value(),
           .flushed_wrs = flushed_wrs.value(),
+          .wwis_unreached = wwis_unreached.value(),
           .doorbells = doorbells.value(),
           .batched_wrs = batched_wrs.value(),
           .gather_wrs = gather_wrs.value(),
@@ -137,6 +138,7 @@ void QueuePair::PostSendCharged(const SendWorkRequest& wr,
     pkt->payload_len = wr.total_length();
     pkt->post_time = device_->scheduler().Now();
     counters_->flushed_wrs.Increment();
+    NoteUnreached(wr);
     CompleteSend(pkt, WcStatus::kWrFlushError, 0);
     return;
   }
@@ -234,7 +236,10 @@ void QueuePair::ScheduleTransmit(const PacketPtr& pkt, SimDuration wr_cost) {
 }
 
 void QueuePair::Transmit(const PacketPtr& pkt) {
-  if (killed_) return;  // flushed by Kill() before reaching the wire
+  if (killed_) {  // flushed by Kill() before reaching the wire
+    NoteUnreached(pkt->wr);
+    return;
+  }
   std::uint64_t wire_bytes = pkt->payload_len + kWireHeaderBytes +
                              (pkt->wr.has_imm ? 4 : 0) +
                              pkt->wr.ext.WireBytes();
@@ -273,6 +278,7 @@ WcStatus QueuePair::Deliver(const PacketPtr& pkt, QueuePair& sender) {
   if (killed_) {
     // A dead destination neither places bytes nor consumes receives; the
     // sender's transport retries exhaust against silence.
+    sender.NoteUnreached(pkt->wr);
     return WcStatus::kRetryExceededError;
   }
   counters_->messages_delivered.Increment();
@@ -389,6 +395,12 @@ void QueuePair::PushRecvCompletionLater(const WorkCompletion& wc) {
   device_->scheduler().ScheduleAfter(
       device_->profile().recv_delivery_overhead,
       [this, wc] { recv_cq_->Push(wc); });
+}
+
+void QueuePair::NoteUnreached(const SendWorkRequest& wr) {
+  if (wr.opcode == Opcode::kRdmaWriteWithImm) {
+    counters_->wwis_unreached.Increment();
+  }
 }
 
 bool QueuePair::TakeRecv(RecvWorkRequest* out) {

@@ -45,6 +45,11 @@ struct QueuePairFields {
   /// Work requests completed with kWrFlushError after Kill() put the QP in
   /// the error state (in-flight flushes plus refused new posts).
   T flushed_wrs{};
+  /// WRITE WITH IMM work requests that never reached a live peer queue
+  /// pair (an emulated one counts once, by its notification): refused at
+  /// post or skipped at transmit by this killed queue pair, or refused by
+  /// a dead destination.  None consumed a receive anywhere.
+  T wwis_unreached{};
   /// Doorbell rings through PostSendBatch and the work requests they
   /// covered, on a live QP.  batched_wrs / doorbells is the achieved batch
   /// depth.
@@ -179,6 +184,8 @@ class QueuePair {
   /// Consume the next receive — from the SRQ when attached, else the
   /// private queue.  False means receiver-not-ready.
   bool TakeRecv(RecvWorkRequest* out);
+  /// `wr` will never reach a live peer: count it if it is a WWI.
+  void NoteUnreached(const SendWorkRequest& wr);
 
   static WcOpcode SendWcOpcode(Opcode op);
 

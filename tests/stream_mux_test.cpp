@@ -376,100 +376,117 @@ TEST(StreamMuxTest, KillResumeOnSharedQpLeavesCohabitantUndisturbed) {
 // with it (MuxGroup::OnSlotFatal): slot 1's streams keep delivering, a
 // reconnect refused while the peer slot still lives changes nothing,
 // MuxGroup::Connect then rebuilds just the dead slot pair, and each
-// slot-0 pair resumes pairwise at its delivered frontier.
+// slot-0 pair resumes pairwise at its delivered frontier.  Slot 0 dies
+// once idle and once with data in flight; the WWIs the mid-transfer death
+// swallows are counted where they were lost, so the mux conservation
+// rule still balances exactly.
 TEST(StreamMuxTest, DeadSlotReconnectsWithoutDisturbingLiveSlot) {
-  Simulation sim(HardwareProfile::FdrInfiniBand(), /*seed=*/49);
-  MuxOptions mopts;
-  mopts.width = 2;
-  MuxGroup g0(sim.device(0), mopts);
-  MuxGroup g1(sim.device(1), mopts);
-  MuxGroup::Connect(g0, g1);
+  for (const bool mid_transfer : {false, true}) {
+    SCOPED_TRACE(mid_transfer ? "slot 0 killed mid-transfer"
+                              : "slot 0 killed idle");
+    Simulation sim(HardwareProfile::FdrInfiniBand(), /*seed=*/49);
+    MuxOptions mopts;
+    mopts.width = 2;
+    MuxGroup g0(sim.device(0), mopts);
+    MuxGroup g1(sim.device(1), mopts);
+    MuxGroup::Connect(g0, g1);
 
-  StreamOptions opts;
-  opts.recovery.enabled = true;
-  opts.intermediate_buffer_bytes = 64 * 1024;
-  opts.max_wwi_chunk = 8 * 1024;
-  constexpr int kStreams = 4;  // ids 0..3: slots 0, 1, 0, 1
-  constexpr std::uint64_t kSlot0Total = 64 * 1024;
-  constexpr std::uint64_t kSlot1Total = 1024 * 1024;
-  struct Pair {
-    Socket* tx = nullptr;
-    Socket* rx = nullptr;
-    std::vector<std::uint8_t> out, in;
-  };
-  std::vector<Pair> pairs(kStreams);
-  for (int s = 0; s < kStreams; ++s) {
-    Pair& p = pairs[s];
-    std::tie(p.tx, p.rx) = sim.CreateMuxedPair(g0, g1, opts);
-    p.tx->EnableTracing();
-    p.rx->EnableTracing();
-    const std::uint64_t total = s % 2 == 0 ? kSlot0Total : kSlot1Total;
-    p.out.resize(total);
-    p.in.resize(total);
-    FillPattern(p.out.data(), total, 0, 60 + s);
-    p.rx->Recv(p.in.data(), total, RecvFlags{.waitall = true});
-  }
-  auto on_slot0 = [](int s) { return s % 2 == 0; };
-
-  // Slot 0 carries the first half of its streams and falls idle while
-  // slot 1's bulk streams are still mid-transfer.
-  for (int s = 0; s < kStreams; ++s) {
-    Pair& p = pairs[s];
-    p.tx->Send(p.out.data(), on_slot0(s) ? kSlot0Total / 2 : kSlot1Total);
-  }
-  ASSERT_TRUE(sim.RunUntil([&] {
-    for (int s = 0; s < kStreams; s += 2) {
-      if (pairs[s].rx->stream_rx()->sequence() < kSlot0Total / 2 ||
-          !pairs[s].tx->stream_tx()->Quiescent()) {
-        return false;
-      }
+    StreamOptions opts;
+    opts.recovery.enabled = true;
+    opts.intermediate_buffer_bytes = 64 * 1024;
+    opts.max_wwi_chunk = 8 * 1024;
+    constexpr int kStreams = 4;  // ids 0..3: slots 0, 1, 0, 1
+    constexpr std::uint64_t kSlot0Total = 64 * 1024;
+    constexpr std::uint64_t kSlot1Total = 1024 * 1024;
+    struct Pair {
+      Socket* tx = nullptr;
+      Socket* rx = nullptr;
+      std::vector<std::uint8_t> out, in;
+    };
+    std::vector<Pair> pairs(kStreams);
+    for (int s = 0; s < kStreams; ++s) {
+      Pair& p = pairs[s];
+      std::tie(p.tx, p.rx) = sim.CreateMuxedPair(g0, g1, opts);
+      p.tx->EnableTracing();
+      p.rx->EnableTracing();
+      const std::uint64_t total = s % 2 == 0 ? kSlot0Total : kSlot1Total;
+      p.out.resize(total);
+      p.in.resize(total);
+      FillPattern(p.out.data(), total, 0, 60 + s);
+      p.rx->Recv(p.in.data(), total, RecvFlags{.waitall = true});
     }
-    return true;
-  }));
-  ASSERT_LT(pairs[1].rx->stream_rx()->sequence(), kSlot1Total);
+    auto on_slot0 = [](int s) { return s % 2 == 0; };
 
-  ASSERT_TRUE(g0.slot(0).Kill());
-  for (int s = 0; s < kStreams; ++s) {
-    EXPECT_EQ(pairs[s].tx->TransportDead(), on_slot0(s)) << "stream " << s;
-  }
-  // The peer slot still lives for one ack delay: a reconnect now is
-  // refused before any slot pair is touched.
-  const std::uint64_t qps0 = sim.device(0).QueuePairsCreated();
-  const std::uint64_t qps1 = sim.device(1).QueuePairsCreated();
-  EXPECT_THROW(MuxGroup::Connect(g0, g1), InvariantViolation);
-  EXPECT_EQ(sim.device(0).QueuePairsCreated(), qps0);
-  EXPECT_EQ(sim.device(1).QueuePairsCreated(), qps1);
-  EXPECT_FALSE(g1.slot(0).dead());
+    // Slot 0 carries the first half of its streams while slot 1's bulk
+    // streams are mid-transfer.  It dies once its first chunk has landed,
+    // or once it has delivered its halves and fallen idle.
+    for (int s = 0; s < kStreams; ++s) {
+      Pair& p = pairs[s];
+      p.tx->Send(p.out.data(), on_slot0(s) ? kSlot0Total / 2 : kSlot1Total);
+    }
+    ASSERT_TRUE(sim.RunUntil([&] {
+      if (mid_transfer) return pairs[0].rx->stream_rx()->sequence() > 0;
+      for (int s = 0; s < kStreams; s += 2) {
+        if (pairs[s].rx->stream_rx()->sequence() < kSlot0Total / 2 ||
+            !pairs[s].tx->stream_tx()->Quiescent()) {
+          return false;
+        }
+      }
+      return true;
+    }));
+    ASSERT_LT(pairs[1].rx->stream_rx()->sequence(), kSlot1Total);
+    ASSERT_EQ(pairs[0].tx->stream_tx()->Quiescent(), !mid_transfer);
 
-  sim.Run();
-  EXPECT_TRUE(g1.slot(0).dead());
-  EXPECT_FALSE(g0.slot(1).dead() || g1.slot(1).dead());
-  for (int s = 1; s < kStreams; s += 2) {
-    EXPECT_EQ(VerifyPattern(pairs[s].in.data(), kSlot1Total, 0, 60 + s),
-              kSlot1Total)
-        << "slot-1 stream " << s << " stalled or corrupted by slot 0's death";
-    EXPECT_FALSE(pairs[s].rx->TransportDead());
-  }
+    ASSERT_TRUE(g0.slot(0).Kill());
+    for (int s = 0; s < kStreams; ++s) {
+      EXPECT_EQ(pairs[s].tx->TransportDead(), on_slot0(s)) << "stream " << s;
+    }
+    // The peer slot still lives for one ack delay: a reconnect now is
+    // refused before any slot pair is touched.
+    const std::uint64_t qps0 = sim.device(0).QueuePairsCreated();
+    const std::uint64_t qps1 = sim.device(1).QueuePairsCreated();
+    EXPECT_THROW(MuxGroup::Connect(g0, g1), InvariantViolation);
+    EXPECT_EQ(sim.device(0).QueuePairsCreated(), qps0);
+    EXPECT_EQ(sim.device(1).QueuePairsCreated(), qps1);
+    EXPECT_FALSE(g1.slot(0).dead());
 
-  // Only the dead slot pair is rebuilt; its streams then resume pairwise.
-  MuxGroup::Connect(g0, g1);
-  EXPECT_EQ(sim.device(0).QueuePairsCreated(), qps0 + 1);
-  EXPECT_EQ(sim.device(1).QueuePairsCreated(), qps1 + 1);
-  for (int s = 0; s < kStreams; s += 2) {
-    Socket::ResumePair(*pairs[s].tx, *pairs[s].rx);
-    pairs[s].tx->Send(pairs[s].out.data() + kSlot0Total / 2, kSlot0Total / 2);
-  }
-  sim.Run();
+    sim.Run();
+    EXPECT_TRUE(g1.slot(0).dead());
+    EXPECT_FALSE(g0.slot(1).dead() || g1.slot(1).dead());
+    for (int s = 1; s < kStreams; s += 2) {
+      EXPECT_EQ(VerifyPattern(pairs[s].in.data(), kSlot1Total, 0, 60 + s),
+                kSlot1Total)
+          << "slot-1 stream " << s << " stalled or corrupted by slot 0's death";
+      EXPECT_FALSE(pairs[s].rx->TransportDead());
+    }
+    // Only the mid-transfer death swallows WWIs: some never reached a live
+    // peer queue pair, the rest landed after the receiving slot had died.
+    const std::uint64_t swallowed = g0.slot(0).qp_stats().wwis_unreached +
+                                    g1.slot(0).dropped_data_wwis();
+    EXPECT_EQ(swallowed > 0, mid_transfer) << swallowed << " swallowed";
 
-  for (int s = 0; s < kStreams; ++s) {
-    const Pair& p = pairs[s];
-    EXPECT_EQ(VerifyPattern(p.in.data(), p.in.size(), 0, 60 + s), p.in.size())
-        << "stream " << s;
-    EXPECT_TRUE(p.tx->Quiescent() && p.rx->Quiescent()) << "stream " << s;
-    ExpectCleanChecker(p.tx, p.rx);
+    // Only the dead slot pair is rebuilt; its streams then resume pairwise.
+    MuxGroup::Connect(g0, g1);
+    EXPECT_EQ(sim.device(0).QueuePairsCreated(), qps0 + 1);
+    EXPECT_EQ(sim.device(1).QueuePairsCreated(), qps1 + 1);
+    for (int s = 0; s < kStreams; s += 2) {
+      Socket::ResumePair(*pairs[s].tx, *pairs[s].rx);
+      pairs[s].tx->Send(pairs[s].out.data() + kSlot0Total / 2,
+                        kSlot0Total / 2);
+    }
+    sim.Run();
+
+    for (int s = 0; s < kStreams; ++s) {
+      const Pair& p = pairs[s];
+      EXPECT_EQ(VerifyPattern(p.in.data(), p.in.size(), 0, 60 + s),
+                p.in.size())
+          << "stream " << s;
+      EXPECT_TRUE(p.tx->Quiescent() && p.rx->Quiescent()) << "stream " << s;
+      ExpectCleanChecker(p.tx, p.rx);
+    }
+    EXPECT_EQ(g0.stats().revives, 2u);
+    ExpectCleanMuxPair(g0, g1);
   }
-  EXPECT_EQ(g0.stats().revives, 2u);
-  ExpectCleanMuxPair(g0, g1);
 }
 
 // Dispatch order with the tier on, pinned absolutely.  72 streams share a
