@@ -219,22 +219,12 @@ Point RunPoint(bool muxed, std::uint32_t streams,
   }
 
   if (muxed) {
-    // Merge every client's park-to-send histogram bucket-wise (bucket
-    // lower bounds re-land in their own bucket, so the merged percentile
-    // is exact at bucket granularity).
+    // Merge every client's park-to-send histogram.
     metrics::Histogram merged;
     for (const Pair& pair : pairs) {
-      metrics::Histogram& h =
-          pair.client->metrics_registry().GetHistogram("mux.hol_wait", "ps");
-      const auto& buckets = h.buckets();
-      for (std::size_t b = 0; b < metrics::Histogram::kBuckets; ++b) {
-        for (std::uint64_t n = 0; n < buckets[b]; ++n) {
-          merged.Record(metrics::Histogram::BucketLowerBound(b));
-        }
-      }
-      pt.parks += static_cast<std::uint64_t>(
-          pair.client->metrics_registry().GetCounter("mux.parks", "events")
-              .value());
+      const metrics::Registry& registry = pair.client->metrics_registry();
+      merged.Merge(*registry.histograms().at("mux.hol_wait").instrument);
+      pt.parks += registry.counters().at("mux.parks").instrument->value();
     }
     pt.hol_p99_us = merged.Percentile(99.0) / 1e6;  // ps -> us
     pt.hol_p999_us = merged.Percentile(99.9) / 1e6;

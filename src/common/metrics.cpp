@@ -32,6 +32,15 @@ void Histogram::Record(std::uint64_t v) {
   sum_ += v;
 }
 
+void Histogram::Merge(const Histogram& other) {
+  if (other.count_ == 0) return;
+  for (std::size_t b = 0; b < kBuckets; ++b) buckets_[b] += other.buckets_[b];
+  if (count_ == 0 || other.min_ < min_) min_ = other.min_;
+  if (other.max_ > max_) max_ = other.max_;
+  count_ += other.count_;
+  sum_ += other.sum_;
+}
+
 double Histogram::Percentile(double p) const {
   if (count_ == 0) return 0.0;
   if (p <= 0.0) return static_cast<double>(min());

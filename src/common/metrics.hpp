@@ -59,6 +59,9 @@ class Histogram {
   static constexpr std::size_t kBuckets = 65;
 
   void Record(std::uint64_t v);
+  /// Fold `other`'s recordings into this histogram: buckets, count, sum,
+  /// min and max end as if this one had recorded both inputs.
+  void Merge(const Histogram& other);
 
   std::uint64_t count() const { return count_; }
   std::uint64_t sum() const { return sum_; }

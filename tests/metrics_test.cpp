@@ -87,6 +87,44 @@ TEST(Histogram, PercentilesAreOrderedAndBounded) {
   EXPECT_LE(p50, 1024.0);
 }
 
+void ExpectSameHistogram(const Histogram& a, const Histogram& b) {
+  EXPECT_EQ(a.buckets(), b.buckets());
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.sum(), b.sum());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+}
+
+// Merging two histograms equals one histogram that recorded both inputs,
+// field by field, whichever side holds the extremes and also when either
+// side is empty.
+TEST(Histogram, MergeEqualsRecordingBothInputs) {
+  Histogram low, high, both;
+  for (std::uint64_t v : {7u, 300u, 300u, 4096u}) {
+    low.Record(v);
+    both.Record(v);
+  }
+  for (std::uint64_t v : {3u, 9000u, 65u}) {
+    high.Record(v);
+    both.Record(v);
+  }
+  Histogram merged = low;
+  merged.Merge(high);
+  ExpectSameHistogram(merged, both);
+  EXPECT_EQ(merged.min(), 3u);
+  EXPECT_EQ(merged.max(), 9000u);
+
+  Histogram empty;
+  Histogram into_empty;
+  into_empty.Merge(low);
+  ExpectSameHistogram(into_empty, low);
+  Histogram from_empty = low;
+  from_empty.Merge(empty);
+  ExpectSameHistogram(from_empty, low);
+  empty.Merge(Histogram{});
+  ExpectSameHistogram(empty, Histogram{});
+}
+
 TEST(TimeWeightedSeries, AverageWeightsByHeldTime) {
   TimeWeightedSeries s;
   EXPECT_EQ(s.Average(100), 0.0);  // nothing recorded yet

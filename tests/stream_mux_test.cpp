@@ -31,7 +31,9 @@ namespace {
 using simnet::HardwareProfile;
 
 std::uint64_t CounterValue(Socket* s, const char* name, const char* unit) {
-  return s->metrics_registry().GetCounter(name, unit).value();
+  const auto& named = s->metrics_registry().counters().at(name);
+  EXPECT_EQ(named.unit, unit) << name;
+  return named.instrument->value();
 }
 
 /// FNV-1a over delivered bytes — the equality the dedicated-vs-muxed
@@ -161,7 +163,10 @@ TEST(StreamMuxTest, PerStreamCreditExhaustionParksWithoutStarving) {
   EXPECT_TRUE(a_parked_seen)
       << "a 1-credit window never parked a 96 KiB bulk stream";
   EXPECT_GT(CounterValue(a_tx, "mux.parks", "events"), 0u);
-  EXPECT_GT(a_tx->metrics_registry().GetHistogram("mux.hol_wait", "ps").count(),
+  EXPECT_GT(a_tx->metrics_registry()
+                .histograms()
+                .at("mux.hol_wait")
+                .instrument->count(),
             0u);
   ExpectCleanChecker(a_tx, a_rx);
   ExpectCleanChecker(b_tx, b_rx);

@@ -62,7 +62,9 @@ void ExpectCleanChecker(Socket* client, Socket* server) {
 }
 
 std::uint64_t CounterValue(Socket* s, const char* name, const char* unit) {
-  return s->metrics_registry().GetCounter(name, unit).value();
+  const auto& named = s->metrics_registry().counters().at(name);
+  EXPECT_EQ(named.unit, unit) << name;
+  return named.instrument->value();
 }
 
 // Kill the connection before the receiver has ever advertised: the resume
