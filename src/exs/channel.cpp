@@ -346,15 +346,16 @@ void ControlChannel::ProcessRecvCompletion(const verbs::WorkCompletion& wc) {
     // A flushed receive, or a delivery racing the QP's death.  Recycle a
     // successfully consumed shared slot so the pool never leaks (flushed
     // private receives belong to the dead QP and are simply gone — the
-    // reconnect re-posts a full pool); dispatch nothing.
+    // reconnect re-posts a full pool); dispatch nothing, but count a data
+    // WWI the death swallowed.
     if (wc.status != verbs::WcStatus::kSuccess) {
       EXS_CHECK_MSG(wc.status == verbs::WcStatus::kWrFlushError,
                     "receive failed: " << verbs::ToString(wc.status));
       MarkDead(wc.status);
-      return;
+    } else {
+      NoteDroppedArrival(wc);
+      if (shared_slots_ != nullptr) shared_slots_->RepostSlot(wc.wr_id);
     }
-    NoteDroppedArrival(wc);
-    if (shared_slots_ != nullptr) shared_slots_->RepostSlot(wc.wr_id);
     return;
   }
   // Recycle the consumed slot right away so the pool never shrinks.  In
