@@ -85,7 +85,7 @@ void ControlChannel::MarkDead(verbs::WcStatus reason) {
   FlushSendBatch();
   if (fatal_notified_) return;
   fatal_notified_ = true;
-  if (callbacks_.on_fatal) callbacks_.on_fatal(reason);
+  owner_->OnFatal(rail_, reason);
 }
 
 bool ControlChannel::Kill() {
@@ -301,12 +301,10 @@ void ControlChannel::OnSendCompletion(const verbs::WorkCompletion& wc) {
   SampleInflightWrs();
   if (wc.wr_id == kControlWrId) return;
   if (wc.opcode == verbs::WcOpcode::kRdmaRead) {
-    if (callbacks_.on_read_done) {
-      callbacks_.on_read_done(wc.wr_id, wc.byte_len);
-    }
+    owner_->OnReadDone(rail_, wc.wr_id, wc.byte_len);
     return;
   }
-  if (callbacks_.on_data_sent) callbacks_.on_data_sent(wc.wr_id);
+  owner_->OnDataSent(rail_, wc.wr_id);
 }
 
 void ControlChannel::OnRecvCompletion(const verbs::WorkCompletion& wc) {
@@ -372,12 +370,10 @@ void ControlChannel::ProcessRecvCompletion(const verbs::WorkCompletion& wc) {
 
   if (wc.opcode == verbs::WcOpcode::kRecvRdmaWithImm) {
     EXS_CHECK(wc.has_imm);
-    // Credit accounting above already happened, so a mux slot's handler
-    // may drop a stale arrival without disturbing conservation.
-    if (callbacks_.on_data) {
-      callbacks_.on_data(wire::ImmIsIndirect(wc.imm), wire::ImmLength(wc.imm),
-                         wc.ext);
-    }
+    // Credit accounting above already happened, so a mux slot's owner may
+    // drop a stale arrival without disturbing conservation.
+    owner_->OnData(rail_, wire::ImmIsIndirect(wc.imm), wire::ImmLength(wc.imm),
+                   wc.ext);
     MaybeSendStandaloneCredit();
     return;
   }
@@ -394,13 +390,10 @@ void ControlChannel::ProcessRecvCompletion(const verbs::WorkCompletion& wc) {
   remote_credits_ += msg.credit_return;
   if (credits_grew) SampleCredits();
 
-  if (static_cast<wire::ControlType>(msg.type) != wire::ControlType::kCredit &&
-      callbacks_.on_control) {
-    callbacks_.on_control(msg);
+  if (static_cast<wire::ControlType>(msg.type) != wire::ControlType::kCredit) {
+    owner_->OnControl(rail_, msg);
   }
-  if (credits_grew && callbacks_.on_credit_available) {
-    callbacks_.on_credit_available();
-  }
+  if (credits_grew) owner_->OnCreditAvailable(rail_);
   MaybeSendStandaloneCredit();
 }
 

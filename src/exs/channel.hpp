@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -67,43 +66,54 @@ class ControlSlotSource {
 /// only, so multiplexing never touches the stream algorithms themselves.
 class ChannelEndpoint {
  public:
-  struct Callbacks {
+  /// The one object an endpoint reports to: the socket for each of its
+  /// rails, or the MuxGroup for each of its slot channels.  Every report
+  /// carries the index the endpoint was attached under, so one owner tells
+  /// its endpoints apart without a closure per endpoint.
+  class Owner {
+   public:
+    virtual ~Owner() = default;
     /// An ADVERT or ACK arrived (CREDIT messages are absorbed internally).
-    std::function<void(const wire::ControlMessage&)> on_control;
+    virtual void OnControl(std::size_t rail,
+                           const wire::ControlMessage& msg) = 0;
     /// A data WWI arrived: kind and chunk length decoded from the imm, plus
     /// the extension header the sender stamped — the stripe sequence when
     /// the stream is striped across rails, the mux tag on a shared QP (a
     /// MuxGroup's slots demultiplex on it), and the causal-tracing id
     /// (0 = untraced).
-    std::function<void(bool indirect, std::uint64_t len,
-                       const verbs::ExtHeader& ext)>
-        on_data;
+    virtual void OnData(std::size_t rail, bool indirect, std::uint64_t len,
+                        const verbs::ExtHeader& ext) = 0;
     /// A locally posted data WWI completed (transport-acknowledged).
-    std::function<void(std::uint64_t wr_id)> on_data_sent;
+    virtual void OnDataSent(std::size_t rail, std::uint64_t wr_id) = 0;
     /// A locally posted RDMA READ completed (data landed here).
-    std::function<void(std::uint64_t wr_id, std::uint64_t bytes)>
-        on_read_done;
+    virtual void OnReadDone(std::size_t rail, std::uint64_t wr_id,
+                            std::uint64_t bytes) = 0;
     /// Our send credit increased; blocked work may be retried.
-    std::function<void()> on_credit_available;
+    virtual void OnCreditAvailable(std::size_t rail) = 0;
     /// The transport died: the queue pair entered the fatal error state
     /// (killed locally, or its retries exhausted against a dead peer).
-    /// Invoked exactly once per death; after it fires CanSend() is false
-    /// until the channel is reconnected (Socket::ResumePair).
-    std::function<void(verbs::WcStatus)> on_fatal;
+    /// Reported exactly once per death; after it CanSend() is false until
+    /// the endpoint is reconnected (Socket::ResumePair).
+    virtual void OnFatal(std::size_t rail, verbs::WcStatus status) = 0;
   };
 
   virtual ~ChannelEndpoint() = default;
 
-  virtual void set_callbacks(Callbacks callbacks) = 0;
+  /// Report every event to `owner`, tagged with `rail`.  The owner attaches
+  /// the endpoint when it builds it, before anything can be reported.
+  void Attach(Owner& owner, std::size_t rail) {
+    owner_ = &owner;
+    rail_ = rail;
+  }
   /// Can a normal message (control or data) be sent right now?
   virtual bool CanSend() const = 0;
   /// The endpoint can accept no traffic until reconnected/revived.
   virtual bool dead() const = 0;
   /// Force the transport into the fatal error state (fault injection):
-  /// on_fatal fires synchronously and the peer's half dies one transport
-  /// ack delay later.  Returns false — and does nothing — when the
-  /// endpoint is already dead: never a second flush or a dangling
-  /// callback.
+  /// OnFatal is reported synchronously and the peer's half dies one
+  /// transport ack delay later.  Returns false — and does nothing — when
+  /// the endpoint is already dead: never a second flush or a second
+  /// report.
   virtual bool Kill() = 0;
   /// Send an ADVERT or ACK; fills in the piggybacked credit return (and,
   /// for mux endpoints, the stream id).  Caller must have checked CanSend().
@@ -112,9 +122,9 @@ class ChannelEndpoint {
   /// chunk is the bytes of `sges` in order (1..verbs::kMaxSge registered
   /// elements, gathered by the HCA into one work request); its length
   /// rides the imm.  Caller must have checked CanSend().  `wr_id` is
-  /// returned via on_data_sent.  `ext` rides the work request to the
-  /// peer's on_data callback, at ExtHeader::WireBytes() extra wire cost; a
-  /// MuxStream stamps its tag into it.
+  /// returned via OnDataSent.  `ext` rides the work request to the peer's
+  /// OnData, at ExtHeader::WireBytes() extra wire cost; a MuxStream stamps
+  /// its tag into it.
   virtual void PostDataWwi(std::uint64_t wr_id,
                            std::span<const verbs::Sge> sges,
                            std::uint64_t remote_addr, std::uint32_t rkey,
@@ -134,6 +144,10 @@ class ChannelEndpoint {
                         std::uint32_t rkey) = 0;
   /// The device whose memory registrations cover this endpoint's traffic.
   virtual verbs::Device& device() = 0;
+
+ protected:
+  Owner* owner_ = nullptr;
+  std::size_t rail_ = 0;
 };
 
 class ControlChannel : public ChannelEndpoint,
@@ -168,10 +182,6 @@ class ControlChannel : public ChannelEndpoint,
   /// new posts are refused.
   bool Kill() override;
   bool dead() const override { return dead_; }
-
-  void set_callbacks(Callbacks callbacks) override {
-    callbacks_ = std::move(callbacks);
-  }
 
   /// Attach the owner's instruments.  `credits` samples the send-credit
   /// balance whenever it changes and `inflight_wrs` the outstanding
@@ -301,7 +311,6 @@ class ControlChannel : public ChannelEndpoint,
   bool fatal_notified_ = false;
   std::vector<std::uint8_t> slab_;  ///< empty in shared-slot mode
   verbs::MemoryRegionPtr slab_mr_;
-  Callbacks callbacks_;
 
   SimTime hold_until_ = 0;  ///< incoming dispatch frozen before this time
   std::deque<verbs::WorkCompletion> deferred_;  ///< held, in arrival order

@@ -22,10 +22,10 @@ MuxGroup::MuxGroup(verbs::Device& device, MuxOptions options)
   for (std::uint32_t i = 0; i < options_.width; ++i) {
     slots_.push_back(
         std::make_unique<ControlChannel>(device, options_.qp_credits));
+    slots_.back()->Attach(*this, i);
   }
   slot_fifo_.resize(slots_.size());
   rotations_.resize(slots_.size());
-  for (std::size_t i = 0; i < slots_.size(); ++i) WireSlot(i);
 }
 
 MuxGroup::~MuxGroup() = default;
@@ -151,30 +151,8 @@ std::size_t MuxGroup::Rotation::NextParked(std::size_t from,
   return std::min(pos, end);
 }
 
-void MuxGroup::WireSlot(std::size_t slot) {
-  ChannelEndpoint::Callbacks cb;
-  cb.on_data = [this](bool indirect, std::uint64_t len,
+void MuxGroup::OnData(std::size_t /*slot*/, bool indirect, std::uint64_t len,
                       const verbs::ExtHeader& ext) {
-    OnSlotData(indirect, len, ext);
-  };
-  cb.on_control = [this](const wire::ControlMessage& msg) {
-    OnSlotControl(msg);
-  };
-  cb.on_data_sent = [this, slot](std::uint64_t wr_id) {
-    OnSlotDataSent(slot, wr_id);
-  };
-  cb.on_read_done = [](std::uint64_t, std::uint64_t) {
-    EXS_CHECK_MSG(false, "RDMA READ completion on a mux slot");
-  };
-  cb.on_credit_available = [this, slot] { DispatchSlot(slot); };
-  cb.on_fatal = [this, slot](verbs::WcStatus status) {
-    OnSlotFatal(slot, status);
-  };
-  slots_[slot]->set_callbacks(std::move(cb));
-}
-
-void MuxGroup::OnSlotData(bool indirect, std::uint64_t len,
-                          const verbs::ExtHeader& ext) {
   EXS_CHECK_MSG(ext.has_mux, "untagged data WWI on a mux slot");
   MuxStream* stream = FindStream(ext.mux_stream);
   if (stream == nullptr) {
@@ -193,12 +171,11 @@ void MuxGroup::OnSlotData(bool indirect, std::uint64_t len,
                               << stream->rx_expect_);
   ++stream->rx_expect_;
   ++stats_.data_delivered;
-  if (stream->callbacks_.on_data) {
-    stream->callbacks_.on_data(indirect, len, ext);
-  }
+  stream->owner_->OnData(stream->rail_, indirect, len, ext);
 }
 
-void MuxGroup::OnSlotControl(const wire::ControlMessage& msg) {
+void MuxGroup::OnControl(std::size_t /*slot*/,
+                         const wire::ControlMessage& msg) {
   MuxStream* stream = FindStream(msg.stream_id);
   if (stream == nullptr) {
     ++stats_.orphan_control_drops;
@@ -208,10 +185,10 @@ void MuxGroup::OnSlotControl(const wire::ControlMessage& msg) {
     ++stats_.stale_control_drops;
     return;
   }
-  if (stream->callbacks_.on_control) stream->callbacks_.on_control(msg);
+  stream->owner_->OnControl(stream->rail_, msg);
 }
 
-void MuxGroup::OnSlotDataSent(std::size_t slot, std::uint64_t wr_id) {
+void MuxGroup::OnDataSent(std::size_t slot, std::uint64_t wr_id) {
   EXS_CHECK_MSG(!slot_fifo_[slot].empty(),
                 "send completion with no posted record");
   PostRecord rec = slot_fifo_[slot].front();
@@ -226,9 +203,13 @@ void MuxGroup::OnSlotDataSent(std::size_t slot, std::uint64_t wr_id) {
   stream->NoteDataSent(wr_id);
 }
 
-void MuxGroup::OnSlotFatal(std::size_t slot, verbs::WcStatus status) {
-  // A real slot-QP death takes every stream riding the slot with it.  The
-  // flushed posts never complete, so their FIFO records are dropped here
+void MuxGroup::OnReadDone(std::size_t /*slot*/, std::uint64_t /*wr_id*/,
+                          std::uint64_t /*bytes*/) {
+  EXS_CHECK_MSG(false, "RDMA READ completion on a mux slot");
+}
+
+void MuxGroup::OnFatal(std::size_t slot, verbs::WcStatus status) {
+  // The flushed posts never complete, so their FIFO records are dropped here
   // (late success completions racing the death are already dropped inside
   // the slot channel).
   slot_fifo_[slot].clear();
@@ -243,7 +224,7 @@ void MuxGroup::OnSlotFatal(std::size_t slot, verbs::WcStatus status) {
   CompactIfSparse(rotation);
 }
 
-void MuxGroup::DispatchSlot(std::size_t slot) {
+void MuxGroup::OnCreditAvailable(std::size_t slot) {
   Rotation& rotation = rotations_[slot];
   if (rotation.in_round) return;  // re-entered from a woken pump
   if (rotation.streams.empty()) return;
@@ -387,14 +368,16 @@ void MuxStream::MarkDead(verbs::WcStatus status) {
   SetParked(false);
   if (fatal_notified_) return;
   fatal_notified_ = true;
-  if (callbacks_.on_fatal) callbacks_.on_fatal(status);
+  // A stream AttachStream handed out has no owner until a socket takes it;
+  // a death before then (Kill, or its slot's) reports to no one.
+  if (owner_ != nullptr) owner_->OnFatal(rail_, status);
 }
 
 void MuxStream::NoteDataSent(std::uint64_t wr_id) {
   EXS_CHECK(outstanding_ > 0);
   --outstanding_;
   if (dead_) return;  // completion racing a virtual kill: account, drop
-  if (callbacks_.on_data_sent) callbacks_.on_data_sent(wr_id);
+  owner_->OnDataSent(rail_, wr_id);
   // The freed window slot may unblock this stream without any shared
   // credit returning; wake it directly (outside rounds the deficit gate
   // is off, so the wake cannot be starved).
@@ -403,7 +386,7 @@ void MuxStream::NoteDataSent(std::uint64_t wr_id) {
 
 void MuxStream::FireCreditAvailable() {
   if (dead_) return;
-  if (callbacks_.on_credit_available) callbacks_.on_credit_available();
+  owner_->OnCreditAvailable(rail_);
 }
 
 void MuxStream::NotePark() const {

@@ -33,9 +33,9 @@
 //
 // Faults: MuxStream::Kill() is a *virtual* kill — the shared QP stays
 // healthy (its other streams are undisturbed) while this stream behaves
-// exactly like a dead transport: on_fatal fires, CanSend() is false, and
-// the peer stream discovers the death one transport ack delay later, the
-// same timing a real QP kill propagates with.  In-flight messages from
+// exactly like a dead transport: OnFatal is reported, CanSend() is false,
+// and the peer stream discovers the death one transport ack delay later,
+// the same timing a real QP kill propagates with.  In-flight messages from
 // before the kill still land (the transport is alive) and are dropped by
 // the reconnect-epoch gate; that is safe because RC FIFO ordering lands
 // them before any post-revive retransmission, and under recovery the
@@ -108,11 +108,13 @@ struct MuxGroupStats {
 /// pairwise with matching ids.  The group does not own its streams — a
 /// MuxStream is owned by the socket riding it and detaches itself on
 /// destruction (guarded by a liveness token, so either side may die
-/// first, matching the ControlSlotSource teardown idiom).
-class MuxGroup {
+/// first, matching the ControlSlotSource teardown idiom).  The group is
+/// the owner of its slot channels, attached with the slot index as the
+/// rail: it demultiplexes their arrivals and completions to the streams.
+class MuxGroup : private ChannelEndpoint::Owner {
  public:
   MuxGroup(verbs::Device& device, MuxOptions options);
-  ~MuxGroup();
+  ~MuxGroup() override;
 
   MuxGroup(const MuxGroup&) = delete;
   MuxGroup& operator=(const MuxGroup&) = delete;
@@ -185,16 +187,21 @@ class MuxGroup {
   std::size_t SlotIndex(std::uint32_t stream_id) const {
     return stream_id % slots_.size();
   }
-  void WireSlot(std::size_t slot);
   void Detach(MuxStream& stream);
   void CompactIfSparse(Rotation& rotation);
-  void OnSlotData(bool indirect, std::uint64_t len,
-                  const verbs::ExtHeader& ext);
-  void OnSlotControl(const wire::ControlMessage& msg);
-  void OnSlotDataSent(std::size_t slot, std::uint64_t wr_id);
-  void OnSlotFatal(std::size_t slot, verbs::WcStatus status);
-  /// DRR dispatch round over the slot's parked streams.
-  void DispatchSlot(std::size_t slot);
+
+  // ---- ChannelEndpoint::Owner, for the slot channels ---------------------
+  void OnControl(std::size_t slot, const wire::ControlMessage& msg) override;
+  void OnData(std::size_t slot, bool indirect, std::uint64_t len,
+              const verbs::ExtHeader& ext) override;
+  void OnDataSent(std::size_t slot, std::uint64_t wr_id) override;
+  /// Never reported: a MuxStream refuses PostRead.
+  void OnReadDone(std::size_t slot, std::uint64_t wr_id,
+                  std::uint64_t bytes) override;
+  /// A DRR dispatch round over the slot's parked streams.
+  void OnCreditAvailable(std::size_t slot) override;
+  /// A real slot-QP death takes every stream riding the slot with it.
+  void OnFatal(std::size_t slot, verbs::WcStatus status) override;
 
   verbs::Device* device_;
   MuxOptions options_;
@@ -224,9 +231,6 @@ class MuxStream : public ChannelEndpoint {
   MuxStream& operator=(const MuxStream&) = delete;
 
   // ---- ChannelEndpoint ---------------------------------------------------
-  void set_callbacks(Callbacks callbacks) override {
-    callbacks_ = std::move(callbacks);
-  }
   /// Sendable when the group lives, the stream is not (virtually) dead,
   /// the slot has a shared credit, the per-stream window has room, and —
   /// during a dispatch round — this stream holds deficit.  A false return
@@ -247,8 +251,8 @@ class MuxStream : public ChannelEndpoint {
 
   // ---- Mux-tier controls -------------------------------------------------
 
-  /// Virtual kill: this stream dies (on_fatal fires synchronously, as a
-  /// local QP kill's would) while the shared slot QP — and every other
+  /// Virtual kill: this stream dies (OnFatal is reported synchronously, as
+  /// a local QP kill's would) while the shared slot QP — and every other
   /// stream on it — stays healthy.  The peer stream is marked dead one
   /// transport ack delay later with kRetryExceededError, mirroring how a
   /// real peer discovers a QP death.  Returns false when already dead.
@@ -276,7 +280,6 @@ class MuxStream : public ChannelEndpoint {
   bool parked() const { return parked_; }
   bool GroupAlive() const { return !group_alive_.expired(); }
   MuxGroup& group() { return *group_; }
-  ControlChannel& slot_channel() { return *slot_; }
 
  private:
   friend class MuxGroup;
@@ -299,7 +302,6 @@ class MuxStream : public ChannelEndpoint {
   std::size_t slot_index_;
   std::uint32_t id_;
   std::uint32_t rotation_pos_ = 0;  ///< index in the slot's rotation
-  Callbacks callbacks_;
   bool dead_ = false;
   bool fatal_notified_ = false;
   /// Reconnect epoch stamped on every message; bumped by Revive().  Eight

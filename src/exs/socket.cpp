@@ -59,6 +59,7 @@ Socket::Socket(verbs::Device& device, SocketType type, StreamOptions options,
     // No dedicated channel: the shared slot QPs live in the MuxGroup.
     // Per-socket mux telemetry replaces the rail0 instruments.
     wiring_.mux_stream->SetInstruments(&inst_.mux_hol_wait, &inst_.mux_parks);
+    wiring_.mux_stream->Attach(*this, 0);
     rails_.push_back(std::move(wiring_.mux_stream));
   }
   for (std::size_t r = 0; r < rails; ++r) {
@@ -73,6 +74,7 @@ Socket::Socket(verbs::Device& device, SocketType type, StreamOptions options,
     // rail<i>.* names the channel's queue-pair counters directly: one
     // block per channel, covering every queue pair it connects.
     BindRailInstruments(registry_, r, rail_inst_[r], channel->qp_counters());
+    channel->Attach(*this, r);
     rails_.push_back(std::move(channel));
   }
   // Hot-path batching (StreamOptions::batching).  Doorbell batching needs
@@ -116,7 +118,6 @@ Socket::Socket(verbs::Device& device, SocketType type, StreamOptions options,
     packet_rx_ = std::make_unique<SeqPacketRx>(MakeContext(&rx_trace_));
   }
   if (rx_) rx_->SetRailInstruments({rail_inst_.get(), rails});
-  for (std::size_t r = 0; r < rails_.size(); ++r) WireCallbacks(r);
 }
 
 const ControlChannel& Socket::rail(std::size_t i) const {
@@ -157,84 +158,79 @@ StreamContext Socket::MakeContext(TraceLog* trace) {
   return ctx;
 }
 
-void Socket::WireCallbacks(std::size_t rail) {
-  // Every rail carries WWI chunks and the CREDIT messages the channel
-  // absorbs internally; ADVERT/ACK/SHUTDOWN stay on rail 0, where their
-  // ordering relative to single-rail traffic is defined.
-  ChannelEndpoint::Callbacks cb;
-  cb.on_control = [this, rail](const wire::ControlMessage& msg) {
-    EXS_CHECK_MSG(rail == 0, "control message on a data rail");
-    switch (static_cast<wire::ControlType>(msg.type)) {
-      case wire::ControlType::kAdvert:
-        if (tx_) tx_->OnAdvert(msg);
-        if (packet_tx_) packet_tx_->OnAdvert(msg);
-        break;
-      case wire::ControlType::kAck:
-        EXS_CHECK_MSG(tx_ != nullptr, "ACK only exists in stream mode");
-        tx_->OnAck(msg.freed, msg.delivered);
-        break;
-      case wire::ControlType::kCredit:
-        break;  // absorbed by the channel
-      case wire::ControlType::kSrcAdvert:
-        EXS_CHECK_MSG(rendezvous_rx_ != nullptr,
-                      "SRC-ADVERT outside rendezvous mode");
-        rendezvous_rx_->OnSrcAdvert(msg);
-        break;
-      case wire::ControlType::kReadDone:
-        EXS_CHECK_MSG(rendezvous_tx_ != nullptr,
-                      "READ-DONE outside rendezvous mode");
-        rendezvous_tx_->OnReadDone(msg.freed);
-        break;
-      case wire::ControlType::kShutdown:
-        if (rx_) {
-          rx_->OnShutdown();
-        } else if (rendezvous_rx_) {
-          rendezvous_rx_->OnShutdown();
-        } else {
-          packet_rx_->OnShutdown();
-        }
-        break;
-    }
-  };
-  cb.on_data = [this, rail](bool indirect, std::uint64_t len,
-                            const verbs::ExtHeader& ext) {
-    if (rx_) {
-      rx_->OnData(indirect, len, ext, rail);
-    } else {
-      EXS_CHECK_MSG(packet_rx_ != nullptr,
-                    "data WWI on a rendezvous connection");
-      EXS_CHECK_MSG(!ext.has_stripe_seq,
-                    "stripe seq on a SEQPACKET connection");
-      packet_rx_->OnData(indirect, len);
-    }
-  };
-  cb.on_data_sent = [this, rail](std::uint64_t wr_id) {
-    if (tx_) {
-      tx_->OnWwiComplete(wr_id, rail);
-    } else {
-      packet_tx_->OnWwiComplete(wr_id);
-    }
-  };
-  if (rail == 0) {
-    cb.on_read_done = [this](std::uint64_t wr_id, std::uint64_t bytes) {
+void Socket::OnControl(std::size_t rail, const wire::ControlMessage& msg) {
+  EXS_CHECK_MSG(rail == 0, "control message on a data rail");
+  switch (static_cast<wire::ControlType>(msg.type)) {
+    case wire::ControlType::kAdvert:
+      if (tx_) tx_->OnAdvert(msg);
+      if (packet_tx_) packet_tx_->OnAdvert(msg);
+      break;
+    case wire::ControlType::kAck:
+      EXS_CHECK_MSG(tx_ != nullptr, "ACK only exists in stream mode");
+      tx_->OnAck(msg.freed, msg.delivered);
+      break;
+    case wire::ControlType::kCredit:
+      break;  // absorbed by the channel
+    case wire::ControlType::kSrcAdvert:
       EXS_CHECK_MSG(rendezvous_rx_ != nullptr,
-                    "READ completion outside rendezvous mode");
-      rendezvous_rx_->OnReadComplete(wr_id, bytes);
-    };
+                    "SRC-ADVERT outside rendezvous mode");
+      rendezvous_rx_->OnSrcAdvert(msg);
+      break;
+    case wire::ControlType::kReadDone:
+      EXS_CHECK_MSG(rendezvous_tx_ != nullptr,
+                    "READ-DONE outside rendezvous mode");
+      rendezvous_tx_->OnReadDone(msg.freed);
+      break;
+    case wire::ControlType::kShutdown:
+      if (rx_) {
+        rx_->OnShutdown();
+      } else if (rendezvous_rx_) {
+        rendezvous_rx_->OnShutdown();
+      } else {
+        packet_rx_->OnShutdown();
+      }
+      break;
   }
-  cb.on_credit_available = [this, rail] {
-    // Any rail's credit unblocks the sender's rail pick; every other half
-    // sends on rail 0 only.
-    if (tx_) tx_->OnCreditAvailable();
-    if (rail != 0) return;
-    if (rx_) rx_->OnCreditAvailable();
-    if (packet_tx_) packet_tx_->OnCreditAvailable();
-    if (packet_rx_) packet_rx_->OnCreditAvailable();
-    if (rendezvous_tx_) rendezvous_tx_->OnCreditAvailable();
-    if (rendezvous_rx_) rendezvous_rx_->OnCreditAvailable();
-  };
-  cb.on_fatal = [this](verbs::WcStatus status) { OnTransportFatal(status); };
-  rails_[rail]->set_callbacks(std::move(cb));
+}
+
+void Socket::OnData(std::size_t rail, bool indirect, std::uint64_t len,
+                    const verbs::ExtHeader& ext) {
+  if (rx_) {
+    rx_->OnData(indirect, len, ext, rail);
+  } else {
+    EXS_CHECK_MSG(packet_rx_ != nullptr,
+                  "data WWI on a rendezvous connection");
+    EXS_CHECK_MSG(!ext.has_stripe_seq, "stripe seq on a SEQPACKET connection");
+    packet_rx_->OnData(indirect, len);
+  }
+}
+
+void Socket::OnDataSent(std::size_t rail, std::uint64_t wr_id) {
+  if (tx_) {
+    tx_->OnWwiComplete(wr_id, rail);
+  } else {
+    packet_tx_->OnWwiComplete(wr_id);
+  }
+}
+
+void Socket::OnReadDone(std::size_t /*rail*/, std::uint64_t wr_id,
+                        std::uint64_t bytes) {
+  // Only a rendezvous socket posts READs, and it has one rail.
+  EXS_CHECK_MSG(rendezvous_rx_ != nullptr,
+                "READ completion outside rendezvous mode");
+  rendezvous_rx_->OnReadComplete(wr_id, bytes);
+}
+
+void Socket::OnCreditAvailable(std::size_t rail) {
+  // Any rail's credit unblocks the sender's rail pick; every other half
+  // sends on rail 0 only.
+  if (tx_) tx_->OnCreditAvailable();
+  if (rail != 0) return;
+  if (rx_) rx_->OnCreditAvailable();
+  if (packet_tx_) packet_tx_->OnCreditAvailable();
+  if (packet_rx_) packet_rx_->OnCreditAvailable();
+  if (rendezvous_tx_) rendezvous_tx_->OnCreditAvailable();
+  if (rendezvous_rx_) rendezvous_rx_->OnCreditAvailable();
 }
 
 Socket::RingCredentials Socket::LocalRingCredentials() const {
@@ -470,7 +466,7 @@ bool Socket::Quiescent() const {
   return packet_tx_->Quiescent() && packet_rx_->Quiescent();
 }
 
-void Socket::OnTransportFatal(verbs::WcStatus /*status*/) {
+void Socket::OnFatal(std::size_t /*rail*/, verbs::WcStatus /*status*/) {
   // A multi-rail kill fires once per channel; the application sees one
   // death per transport incident.
   if (fatal_event_raised_) return;

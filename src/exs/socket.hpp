@@ -52,7 +52,8 @@ struct SocketWiring {
   std::unique_ptr<MuxStream> mux_stream;
 };
 
-class Socket : public simnet::TransportKillTarget {
+class Socket : public simnet::TransportKillTarget,
+               private ChannelEndpoint::Owner {
  public:
   Socket(verbs::Device& device, SocketType type, StreamOptions options,
          std::string name, SocketWiring wiring = {});
@@ -266,11 +267,21 @@ class Socket : public simnet::TransportKillTarget {
   void SubmitRecv(std::uint64_t id, void* buf, std::uint64_t len,
                   const verbs::MemoryRegion& mr, RecvFlags flags);
   StreamContext MakeContext(TraceLog* trace);
-  /// Route rail `rail`'s arrivals and completions to the protocol halves.
-  void WireCallbacks(std::size_t rail);
+
+  // ---- ChannelEndpoint::Owner: every rail reports here -------------------
+  // Every rail carries WWI chunks and the CREDIT messages the channel
+  // absorbs internally; ADVERT/ACK/SHUTDOWN and READ completions stay on
+  // rail 0, where their ordering relative to single-rail traffic is defined.
+  void OnControl(std::size_t rail, const wire::ControlMessage& msg) override;
+  void OnData(std::size_t rail, bool indirect, std::uint64_t len,
+              const verbs::ExtHeader& ext) override;
+  void OnDataSent(std::size_t rail, std::uint64_t wr_id) override;
+  void OnReadDone(std::size_t rail, std::uint64_t wr_id,
+                  std::uint64_t bytes) override;
+  void OnCreditAvailable(std::size_t rail) override;
   /// First rail death of a (possibly multi-rail) transport kill: trace
   /// markers on both halves, one kError event, the kill counter.
-  void OnTransportFatal(verbs::WcStatus status);
+  void OnFatal(std::size_t rail, verbs::WcStatus status) override;
   /// Connect (or, after a kill, reconnect) the first `rails` dedicated
   /// rails of two classic sockets pairwise.
   static void ConnectRails(Socket& a, Socket& b, std::size_t rails);
