@@ -7,6 +7,15 @@
 #include "common/check.hpp"
 
 namespace exs {
+namespace {
+
+// A send completion carries only the wr_id it was posted with, as a real
+// CQE does, so a stream posts each data WWI under the tag
+// [epoch:8][stream:16][id:40] and the group routes the completion by it.
+constexpr int kTagIdBits = 40;
+constexpr std::uint64_t kTagIdMask = (std::uint64_t{1} << kTagIdBits) - 1;
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // MuxGroup
@@ -24,7 +33,6 @@ MuxGroup::MuxGroup(verbs::Device& device, MuxOptions options)
         std::make_unique<ControlChannel>(device, options_.qp_credits));
     slots_.back()->Attach(*this, i);
   }
-  slot_fifo_.resize(slots_.size());
   rotations_.resize(slots_.size());
 }
 
@@ -53,10 +61,6 @@ void MuxGroup::Connect(MuxGroup& a, MuxGroup& b) {
   b.peer_ = &a;
   for (std::size_t i : wire) {
     ControlChannel::Connect(*a.slots_[i], *b.slots_[i]);
-    // Reconnect path: posts flushed by the slot's death never complete, so
-    // their FIFO records are stale (cleared at the fatal too).
-    a.slot_fifo_[i].clear();
-    b.slot_fifo_[i].clear();
   }
 }
 
@@ -188,19 +192,22 @@ void MuxGroup::OnControl(std::size_t /*slot*/,
   stream->owner_->OnControl(stream->rail_, msg);
 }
 
-void MuxGroup::OnDataSent(std::size_t slot, std::uint64_t wr_id) {
-  EXS_CHECK_MSG(!slot_fifo_[slot].empty(),
-                "send completion with no posted record");
-  PostRecord rec = slot_fifo_[slot].front();
-  slot_fifo_[slot].pop_front();
-  EXS_CHECK_MSG(rec.wr_id == wr_id, "send completions out of post order");
-  MuxStream* stream = FindStream(rec.stream);
+void MuxGroup::OnDataSent(std::size_t slot, std::uint64_t tag) {
+  // The slot channel reports no completion of a dead or parked queue pair,
+  // so every tag here is one of this slot's live posts.
+  const auto stream_id =
+      static_cast<std::uint32_t>((tag >> kTagIdBits) & 0xffff);
+  EXS_CHECK_MSG(SlotIndex(stream_id) == slot,
+                "send completion on mux slot " << slot << " for stream "
+                                               << stream_id);
+  MuxStream* stream = FindStream(stream_id);
   if (stream == nullptr) {
     ++stats_.orphan_completions;
     return;
   }
-  if (rec.epoch != stream->epoch_) return;  // pre-revive post; window reset
-  stream->NoteDataSent(wr_id);
+  const auto epoch = static_cast<std::uint8_t>(tag >> 56);
+  if (epoch != stream->epoch_) return;  // pre-revive post; window reset
+  stream->NoteDataSent(tag & kTagIdMask);
 }
 
 void MuxGroup::OnReadDone(std::size_t /*slot*/, std::uint64_t /*wr_id*/,
@@ -209,10 +216,6 @@ void MuxGroup::OnReadDone(std::size_t /*slot*/, std::uint64_t /*wr_id*/,
 }
 
 void MuxGroup::OnFatal(std::size_t slot, verbs::WcStatus status) {
-  // The flushed posts never complete, so their FIFO records are dropped here
-  // (late success completions racing the death are already dropped inside
-  // the slot channel).
-  slot_fifo_[slot].clear();
   Rotation& rotation = rotations_[slot];
   ++rotation.walks;
   const std::size_t n = rotation.streams.size();
@@ -300,13 +303,15 @@ void MuxStream::PostDataWwi(std::uint64_t wr_id,
                             bool indirect, const verbs::ExtHeader& ext) {
   EXS_CHECK_MSG(!group_alive_.expired(), "post on a stream whose group died");
   EXS_CHECK_MSG(!dead_, "post on a dead mux stream");
+  EXS_CHECK_MSG(wr_id <= kTagIdMask, "mux wr_id " << wr_id << " exceeds the "
+                                                  << kTagIdBits
+                                                  << "-bit completion tag");
   NoteUnblocked();
   verbs::ExtHeader tagged = ext;
   tagged.has_mux = true;
   tagged.mux_stream = id_;
   tagged.mux_seq = tx_seq_++;
   tagged.mux_epoch = epoch_;
-  group_->slot_fifo_[slot_index_].push_back({id_, wr_id, epoch_});
   ++outstanding_;
   ++group_->stats_.data_posted;
   if (group_->rotations_[slot_index_].in_round) {
@@ -314,7 +319,9 @@ void MuxStream::PostDataWwi(std::uint64_t wr_id,
     for (const verbs::Sge& sge : sges) len += sge.length;
     deficit_ -= std::min(deficit_, len);
   }
-  slot_->PostDataWwi(wr_id, sges, remote_addr, rkey, indirect, tagged);
+  const std::uint64_t tag = (std::uint64_t{epoch_} << 56) |
+                            (std::uint64_t{id_} << kTagIdBits) | wr_id;
+  slot_->PostDataWwi(tag, sges, remote_addr, rkey, indirect, tagged);
 }
 
 void MuxStream::PostRead(std::uint64_t, void*, std::uint32_t, std::uint64_t,

@@ -48,7 +48,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -157,14 +156,6 @@ class MuxGroup : private ChannelEndpoint::Owner {
  private:
   friend class MuxStream;
 
-  /// Per-slot FIFO of posted data WWIs: RC completes sends in post order,
-  /// so the front record always names the completing WR's stream.
-  struct PostRecord {
-    std::uint32_t stream = 0;
-    std::uint64_t wr_id = 0;
-    std::uint8_t epoch = 0;
-  };
-
   /// One slot's dispatch rotation: its streams in attach order, null where
   /// one detached (skipped lazily, compacted once nulls outnumber live
   /// entries), plus a bitmap of the parked ones — all a round visits.
@@ -194,7 +185,8 @@ class MuxGroup : private ChannelEndpoint::Owner {
   void OnControl(std::size_t slot, const wire::ControlMessage& msg) override;
   void OnData(std::size_t slot, bool indirect, std::uint64_t len,
               const verbs::ExtHeader& ext) override;
-  void OnDataSent(std::size_t slot, std::uint64_t wr_id) override;
+  /// Routes by the tag MuxStream::PostDataWwi posted the WWI under.
+  void OnDataSent(std::size_t slot, std::uint64_t tag) override;
   /// Never reported: a MuxStream refuses PostRead.
   void OnReadDone(std::size_t slot, std::uint64_t wr_id,
                   std::uint64_t bytes) override;
@@ -207,7 +199,6 @@ class MuxGroup : private ChannelEndpoint::Owner {
   MuxOptions options_;
   MuxGroup* peer_ = nullptr;
   std::vector<std::unique_ptr<ControlChannel>> slots_;
-  std::vector<std::deque<PostRecord>> slot_fifo_;
   std::vector<Rotation> rotations_;  ///< one per slot
   /// The demux table: attached stream by id, null where none.  Ids fit
   /// 16 bits and AllocateStreamId hands them out densely, so a flat table
@@ -239,6 +230,9 @@ class MuxStream : public ChannelEndpoint {
   bool CanSend() const override;
   bool dead() const override { return dead_; }
   void SendControl(wire::ControlMessage msg) override;
+  /// `wr_id` must fit 40 bits: the slot channel posts it under a tag that
+  /// adds this stream's id and epoch, by which the group routes the send
+  /// completion back here.
   void PostDataWwi(std::uint64_t wr_id, std::span<const verbs::Sge> sges,
                    std::uint64_t remote_addr, std::uint32_t rkey,
                    bool indirect, const verbs::ExtHeader& ext) override;
