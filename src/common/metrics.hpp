@@ -114,7 +114,6 @@ class TimeWeightedSeries {
   double min() const { return count_ == 0 ? 0.0 : min_; }
   double max() const { return count_ == 0 ? 0.0 : max_; }
   std::uint64_t count() const { return count_; }
-  SimTime start_time() const { return start_; }
 
   const std::vector<Sample>& samples() const { return samples_; }
 

@@ -288,7 +288,6 @@ class ControlChannel : public ChannelEndpoint,
   void AttachReceivePool();
   void PostSlotRecv(std::uint32_t slot);
   void ConsumeCredit();
-  void ReturnConsumedSlot();
   void MaybeSendStandaloneCredit();
   std::uint32_t TakeCreditReturn();
   void SampleCredits();

@@ -69,7 +69,6 @@ class OnOffBurstProcess {
     return gap < 1.0 ? 1 : static_cast<SimDuration>(gap);
   }
 
-  bool in_off_gap() const { return off_pending_; }
   std::uint64_t bursts_started() const { return bursts_started_; }
   const Options& options() const { return options_; }
 

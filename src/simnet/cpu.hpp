@@ -50,7 +50,6 @@ class Cpu {
     EXS_CHECK(factor > 0.0);
     cost_factor_ /= factor;
   }
-  double cost_factor() const { return cost_factor_; }
 
   /// Fault injection: occupy the CPU for `stall` doing nothing — an OS
   /// preemption.  FIFO like any task, so already-queued work runs first

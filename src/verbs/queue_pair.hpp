@@ -118,7 +118,6 @@ class QueuePair {
   /// private queue.  Must happen before any receive is consumed; the
   /// private queue must be empty.
   void SetSharedReceiveQueue(SharedReceiveQueue* srq);
-  SharedReceiveQueue* shared_receive_queue() { return srq_; }
 
   std::size_t PostedRecvCount() const;
   Device& device() { return *device_; }
