@@ -313,6 +313,33 @@ TEST(StreamMuxTest, StreamOutlivingGroupIsInert) {
   s.reset();  // must not touch the dead group
 }
 
+// A slot's send completion carries only the wr_id, so a stream posts under
+// a tag that spends 24 of its bits on the stream id and epoch: an id wider
+// than the remaining 40 is refused before anything is posted or counted.
+TEST(StreamMuxTest, PostRefusesAWrIdWiderThanTheCompletionTag) {
+  Simulation sim(HardwareProfile::FdrInfiniBand(), /*seed=*/44);
+  MuxGroup g0(sim.device(0), MuxOptions{});
+  MuxGroup g1(sim.device(1), MuxOptions{});
+  MuxGroup::Connect(g0, g1);
+  auto [client, server] = sim.CreateMuxedPair(g0, g1);
+  MuxStream& stream = *client->mux_stream();
+  ASSERT_TRUE(stream.CanSend());
+
+  verbs::RegisteredBuffer src(sim.device(0), 64);
+  const verbs::Sge sge{reinterpret_cast<std::uint64_t>(src.data()), 64,
+                       src.lkey()};
+  const Socket::RingCredentials ring = server->LocalRingCredentials();
+  const std::uint64_t sends_before = g0.slot(0).qp_stats().sends_posted;
+  EXPECT_THROW(stream.PostDataWwi(std::uint64_t{1} << 40, {&sge, 1},
+                                  ring.addr, ring.rkey, /*indirect=*/true,
+                                  verbs::ExtHeader{}),
+               InvariantViolation);
+  EXPECT_EQ(stream.tx_seq(), 0u);
+  EXPECT_EQ(stream.outstanding(), 0u);
+  EXPECT_EQ(g0.stats().data_posted, 0u);
+  EXPECT_EQ(g0.slot(0).qp_stats().sends_posted, sends_before);
+}
+
 // Virtual kill of one stream on a shared QP: the victim dies with real
 // fault semantics (local flush now, peer discovery one ack delay later),
 // the cohabitant on the same slot never notices, and kill/resume at the
@@ -378,7 +405,7 @@ TEST(StreamMuxTest, KillResumeOnSharedQpLeavesCohabitantUndisturbed) {
 }
 
 // A real slot-QP death on a width-2 pool takes only that slot's streams
-// with it (MuxGroup::OnSlotFatal): slot 1's streams keep delivering, a
+// with it (MuxGroup::OnFatal): slot 1's streams keep delivering, a
 // reconnect refused while the peer slot still lives changes nothing,
 // MuxGroup::Connect then rebuilds just the dead slot pair, and each
 // slot-0 pair resumes pairwise at its delivered frontier.  Slot 0 dies
