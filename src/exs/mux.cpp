@@ -9,9 +9,7 @@
 namespace exs {
 namespace {
 
-// A send completion carries only the wr_id it was posted with, as a real
-// CQE does, so a stream posts each data WWI under the tag
-// [epoch:8][stream:16][id:40] and the group routes the completion by it.
+// A data WWI's wr_id tag, [epoch:8][stream:16][id:40] (see mux.hpp).
 constexpr int kTagIdBits = 40;
 constexpr std::uint64_t kTagIdMask = (std::uint64_t{1} << kTagIdBits) - 1;
 

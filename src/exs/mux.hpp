@@ -13,6 +13,13 @@
 // per-stream mux_seq carried on data WWIs lets the receive side *audit*
 // that continuity (the invariant checker's per-stream rule).
 //
+// The group is the one owner (ChannelEndpoint::Owner) of its slot
+// channels, attached with the slot index as the rail; each stream reports
+// to the socket that took it.  A send completion carries only the wr_id it
+// was posted with, as a real CQE does, so a stream posts its data WWIs
+// under the tag [epoch:8][stream:16][id:40] and the group routes each
+// completion by the stream and epoch in it, keeping no record per WWI.
+//
 // Flow control is layered: the slot channel keeps the §II-B credit scheme
 // for the shared QP, and each stream additionally bounds its own
 // outstanding data WWIs (per_stream_credits) so one bulk stream cannot
