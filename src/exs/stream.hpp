@@ -325,7 +325,7 @@ class StreamTx {
   /// Rail the next chunk rides: of the rails with a send credit, the one
   /// with the fewest outstanding bytes, ties to the lowest index; kNoRail
   /// when every rail is blocked (the post is retried from
-  /// on_credit_available).  With one rail this degenerates to the classic
+  /// OnCreditAvailable).  With one rail this degenerates to the classic
   /// CanSend() gate.
   static constexpr std::size_t kNoRail = ~std::size_t{0};
   std::size_t PickRail() const;
