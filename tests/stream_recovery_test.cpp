@@ -8,6 +8,10 @@
 // intentional protocol change with
 //
 //   EXS_UPDATE_GOLDEN=1 ./fault_test --gtest_filter='StreamRecoveryGolden*'
+//
+// The same loop pins one torture fingerprint per mode, profile and
+// pinnable shape knob (tests/data/torture_golden.txt, regenerated with
+// --gtest_filter='TortureGolden*').
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -641,11 +645,50 @@ TEST(StreamRecoveryProperty, KilledRunsMatchUnkilledGoldenFingerprints) {
 }
 
 // ---------------------------------------------------------------------------
-// Recorded twin-run fingerprints (the stream_golden_test convention): the
-// corpus file pins the exact recovery schedule — retransmission postings,
-// resume markers, and both delivered payloads — per configuration.  Each
-// entry also runs twice in-process as the determinism witness.
+// Recorded torture fingerprints (the stream_golden_test convention): a
+// corpus file pins the exact run of each configuration it lists — for the
+// kill twin the recovery schedule (retransmission postings, resume
+// markers, both delivered payloads), for every other mode the chained
+// trace fingerprints.  Each entry also runs twice in-process as the
+// determinism witness.
 // ---------------------------------------------------------------------------
+
+/// The recorded-corpus loop.  With EXS_UPDATE_GOLDEN set it rewrites
+/// `path` as `header` plus one fingerprinted entry per `regenerate`
+/// configuration; otherwise every recorded entry must pass, replay
+/// identically, and reproduce its recorded fingerprint.
+void ExpectCorpusFingerprints(
+    const char* path, const char* header,
+    const std::vector<torture::TortureConfig>& regenerate) {
+  if (std::getenv("EXS_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream file(path, std::ios::trunc);
+    ASSERT_TRUE(file.good()) << "cannot rewrite " << path;
+    file << header;
+    file.close();
+    for (const torture::TortureConfig& cfg : regenerate) {
+      torture::TortureResult res = torture::RunTorture(cfg);
+      ASSERT_TRUE(res.ok) << torture::EncodeCorpusEntry(cfg) << "\n"
+                          << res.Describe();
+      torture::AppendCorpusEntry(path, cfg, res.fingerprint);
+    }
+    GTEST_SKIP() << "corpus regenerated at " << path;
+  }
+
+  std::vector<torture::TortureConfig> entries = torture::LoadCorpus(path);
+  ASSERT_FALSE(entries.empty());
+  for (const torture::TortureConfig& cfg : entries) {
+    torture::TortureResult first = torture::RunTorture(cfg);
+    torture::TortureResult second = torture::RunTorture(cfg);
+    EXPECT_TRUE(first.ok) << torture::EncodeCorpusEntry(cfg) << "\n"
+                          << first.Describe();
+    EXPECT_EQ(first.fingerprint, second.fingerprint)
+        << "nondeterministic twin run: " << torture::EncodeCorpusEntry(cfg);
+    EXPECT_EQ(first.fingerprint, cfg.expect_fingerprint)
+        << "run drifted from the recorded corpus entry: "
+        << torture::EncodeCorpusEntry(cfg)
+        << " (intentional change? regenerate with EXS_UPDATE_GOLDEN=1)";
+  }
+}
 
 constexpr const char* kRecoveryCorpusPath =
     EXS_TEST_DATA_DIR "/recovery_golden.txt";
@@ -676,38 +719,65 @@ std::vector<torture::TortureConfig> RecoveryGoldenConfigs() {
 }
 
 TEST(StreamRecoveryGolden, TwinRunFingerprintsMatchCorpus) {
-  if (std::getenv("EXS_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream header(kRecoveryCorpusPath, std::ios::trunc);
-    ASSERT_TRUE(header.good()) << "cannot rewrite " << kRecoveryCorpusPath;
-    header << "# Twin-run recovery fingerprints (kill mode): chained FNV of\n"
-              "# the golden payload, the killed payload, and the killed\n"
-              "# leg's trace fingerprint.  Regenerate with\n"
-              "# EXS_UPDATE_GOLDEN=1 (see stream_recovery_test.cpp).\n";
-    header.close();
-    for (const torture::TortureConfig& cfg : RecoveryGoldenConfigs()) {
-      torture::TortureResult res = torture::RunTorture(cfg);
-      ASSERT_TRUE(res.ok) << torture::EncodeCorpusEntry(cfg) << "\n"
-                          << res.Describe();
-      torture::AppendCorpusEntry(kRecoveryCorpusPath, cfg, res.fingerprint);
-    }
-    GTEST_SKIP() << "corpus regenerated at " << kRecoveryCorpusPath;
-  }
+  ExpectCorpusFingerprints(
+      kRecoveryCorpusPath,
+      "# Twin-run recovery fingerprints (kill mode): chained FNV of\n"
+      "# the golden payload, the killed payload, and the killed\n"
+      "# leg's trace fingerprint.  Regenerate with\n"
+      "# EXS_UPDATE_GOLDEN=1 (see stream_recovery_test.cpp).\n",
+      RecoveryGoldenConfigs());
+}
 
-  std::vector<torture::TortureConfig> entries =
-      torture::LoadCorpus(kRecoveryCorpusPath);
-  ASSERT_FALSE(entries.empty());
-  for (const torture::TortureConfig& cfg : entries) {
-    torture::TortureResult first = torture::RunTorture(cfg);
-    torture::TortureResult second = torture::RunTorture(cfg);
-    EXPECT_TRUE(first.ok) << torture::EncodeCorpusEntry(cfg) << "\n"
-                          << first.Describe();
-    EXPECT_EQ(first.fingerprint, second.fingerprint)
-        << "nondeterministic twin run: " << torture::EncodeCorpusEntry(cfg);
-    EXPECT_EQ(first.fingerprint, cfg.expect_fingerprint)
-        << "recovery schedule drifted from the recorded corpus entry: "
-        << torture::EncodeCorpusEntry(cfg)
-        << " (intentional change? regenerate with EXS_UPDATE_GOLDEN=1)";
+constexpr const char* kTortureCorpusPath =
+    EXS_TEST_DATA_DIR "/torture_golden.txt";
+
+/// One run per mode but `kill` (recovery_golden.txt pins it) on each
+/// profile, then one run per pinnable shape knob and one without faults.
+std::vector<torture::TortureConfig> TortureGoldenConfigs() {
+  std::vector<torture::TortureConfig> cfgs;
+  // From seed 2: at seed 1 on fdr, dynamic, indirect and coalesce run the
+  // same schedule, which would pin one run three times.
+  std::uint64_t seed = 2;
+  for (const char* profile : {"fdr", "iwarp", "wan"}) {
+    for (const char* mode : {"dynamic", "direct", "indirect", "coalesce",
+                             "stripe", "seqpacket", "many", "mux", "batch",
+                             "rpc"}) {
+      torture::TortureConfig cfg;
+      cfg.seed = seed;
+      cfg.profile = profile;
+      cfg.mode = mode;
+      cfgs.push_back(cfg);
+    }
+    ++seed;
   }
+  auto pinned = [&cfgs](const char* mode) -> torture::TortureConfig& {
+    torture::TortureConfig cfg;
+    cfg.seed = 5;
+    cfg.mode = mode;
+    cfgs.push_back(cfg);
+    return cfgs.back();
+  };
+  pinned("stripe").rails = 3;
+  pinned("many").streams = 3;
+  pinned("mux").streams = 3;
+  pinned("mux").width = 3;
+  pinned("rpc").streams = 3;
+  pinned("rpc").width = 3;
+  torture::TortureConfig& batch = pinned("batch");
+  batch.batch = 4;
+  batch.arity = 4;
+  pinned("dynamic").enable_faults = false;
+  return cfgs;
+}
+
+TEST(TortureGolden, EveryModeFingerprintMatchesCorpus) {
+  ExpectCorpusFingerprints(
+      kTortureCorpusPath,
+      "# Torture fingerprints, one run per mode (kill excepted: see\n"
+      "# recovery_golden.txt) on each profile, then one per pinned shape\n"
+      "# knob and one without faults.  Regenerate with\n"
+      "# EXS_UPDATE_GOLDEN=1 (see stream_recovery_test.cpp).\n",
+      TortureGoldenConfigs());
 }
 
 }  // namespace
