@@ -18,7 +18,12 @@
 #              --quick --json FILE (the file is compared; the option order
 #              matters: `--json --quick` would write to a file named
 #              --quick and run the full sweep);
-#   blast      --quick --metrics-json=- (stdout).
+#   blast      --quick --metrics-json=- (stdout);
+#   sabotage_stale, sabotage_gate
+#              torture --seeds 1..20 over all 11 modes with --sabotage
+#              stale|gate --expect-failure.  An EXS_CHECK message names
+#              its source path and line, and the path differs between two
+#              checkouts, so " at <path>:<line>" is stripped first.
 # perfbench's --sim-json line is not covered: it needs perfbench's own
 # build of each tree and stays a manual comparison.
 #
@@ -54,6 +59,12 @@ surface() {
     > /dev/null || touch "${d}/ext_openloop.failed"
   "${b}/tools/blast" --quick --metrics-json=- > "${d}/blast.txt" ||
     touch "${d}/blast.failed"
+  local s
+  for s in stale gate; do
+    "${b}/tools/torture" --seeds 1..20 --modes "${modes}" --sabotage "${s}" \
+      --expect-failure | sed -E 's# at [^ ]+:[0-9]+##g' \
+      > "${d}/sabotage_${s}.txt" || touch "${d}/sabotage_${s}.failed"
+  done
 }
 
 echo "running the parent build ..."
@@ -62,7 +73,8 @@ echo "running the change build ..."
 surface "${change}" "${out}/change"
 
 differ=()
-for f in torture.txt run_all.json ext_mux.json ext_openloop.json blast.txt; do
+for f in torture.txt run_all.json ext_mux.json ext_openloop.json blast.txt \
+         sabotage_stale.txt sabotage_gate.txt; do
   name="${f%.*}"
   if [[ -e "${out}/parent/${name}.failed" ||
         -e "${out}/change/${name}.failed" ]]; then
