@@ -239,6 +239,29 @@ TEST(TortureHarnessTest, AllProfilesAndModesPass) {
   }
 }
 
+TEST(TortureHarnessTest, KillLegsHonourSabotage) {
+  // Both legs of the kill twin run with the sabotaged protocol, so the
+  // resumed leg's own checker must catch each bug: its violations carry
+  // the "killed: " prefix.
+  for (bool stale : {true, false}) {
+    int killed_hits = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      torture::TortureConfig cfg;
+      cfg.seed = seed;
+      cfg.mode = "kill";
+      cfg.sabotage_stale_adverts = stale;
+      cfg.sabotage_advert_gate = !stale;
+      for (const std::string& v :
+           torture::RunTorture(cfg).checker_violations) {
+        if (v.rfind("killed: ", 0) == 0) ++killed_hits;
+      }
+    }
+    EXPECT_GT(killed_hits, 0)
+        << (stale ? "stale-advert" : "advert-gate")
+        << " sabotage never reached the resumed leg's checker";
+  }
+}
+
 TEST(TortureHarnessTest, CorpusEntryRoundTrips) {
   torture::TortureConfig cfg;
   cfg.seed = 123;

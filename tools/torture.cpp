@@ -755,6 +755,8 @@ void RunKillLeg(const TortureConfig& cfg, bool kill, const char* label,
   StreamOptions opts;
   opts.recovery.enabled = true;
   opts.intermediate_buffer_bytes = cfg.buffer_bytes;
+  opts.sabotage.accept_stale_adverts = cfg.sabotage_stale_adverts;
+  opts.sabotage.advertise_without_gate = cfg.sabotage_advert_gate;
   const std::uint64_t variant = cfg.rails != 0 ? 2 : bits % 3;
   if (variant == 1) opts.coalesce.enabled = true;
   if (variant == 2) {
