@@ -7,8 +7,7 @@
 namespace exs {
 
 ControlChannel::ControlChannel(verbs::Device& device, std::uint32_t credits,
-                               ControlSlotSource* shared_slots,
-                               bool slots_pre_reserved)
+                               ControlSlotSource* shared_slots)
     : device_(&device),
       credits_(credits),
       shared_slots_(shared_slots),
@@ -20,16 +19,10 @@ ControlChannel::ControlChannel(verbs::Device& device, std::uint32_t credits,
   EXS_CHECK_MSG(credits >= 4, "credit pool too small to make progress");
   EXS_CHECK_MSG(credits <= 65535,
                 "credit pool exceeds the 16-bit wire credit_return field");
-  EXS_CHECK_MSG(shared_slots != nullptr || !slots_pre_reserved,
-                "a slot reservation needs a pool to be reserved against");
   if (shared_slots_ == nullptr) {
     slab_mr_ = device.RegisterMemory(slab_.data(), slab_.size());
   } else {
     slots_liveness_ = shared_slots_->LivenessToken();
-    // Adopting an admission-time reservation here (not at Connect) keeps
-    // the refund correct even if the channel is torn down before it was
-    // ever wired.
-    slots_reserved_ = slots_pre_reserved;
   }
   send_cq_->SetHandler(
       [this](const verbs::WorkCompletion& wc) { OnSendCompletion(wc); });
@@ -41,8 +34,7 @@ ControlChannel::~ControlChannel() {
   // Refund the slot reservation — unless the pool itself is already gone
   // (accepted sockets are owned by the ConnectionService and routinely
   // outlive the acceptor that admitted them).
-  if (shared_slots_ != nullptr && slots_reserved_ &&
-      !slots_liveness_.expired()) {
+  if (shared_slots_ != nullptr && !slots_liveness_.expired()) {
     shared_slots_->UnreserveSlots(credits_);
   }
 }
@@ -118,16 +110,6 @@ void ControlChannel::ResetForResume() {
 void ControlChannel::AttachReceivePool() {
   if (shared_slots_ != nullptr) {
     qp_->SetSharedReceiveQueue(&shared_slots_->srq());
-    // The acceptor path reserves at admission (atomically with the
-    // admission check) and arrives here with the reservation already
-    // adopted; only channels built directly against a slot source — tests,
-    // bespoke wiring — still reserve at attach time.
-    if (!slots_reserved_) {
-      EXS_CHECK_MSG(shared_slots_->ReserveSlots(credits_),
-                    "shared control-slot pool cannot cover the credit grant; "
-                    "reserve at the admission point to refuse instead");
-      slots_reserved_ = true;
-    }
     return;
   }
   for (std::uint32_t slot = 0; slot < credits_; ++slot) PostSlotRecv(slot);

@@ -35,10 +35,8 @@ class ControlSlotSource {
  public:
   virtual ~ControlSlotSource() = default;
   virtual verbs::SharedReceiveQueue& srq() = 0;
-  /// Account `n` pool slots to a new channel.  False when the pool cannot
-  /// cover them — the acceptor's admission control refuses the connection
-  /// instead of risking RNR on an established one.
-  virtual bool ReserveSlots(std::uint32_t n) = 0;
+  /// Refund the `n` slots a channel's admission reserved (the channel
+  /// adopts that reservation and returns it at teardown).
   virtual void UnreserveSlots(std::uint32_t n) = 0;
   /// Memory backing a consumed slot.
   virtual const std::uint8_t* SlotMem(std::uint64_t slot) const = 0;
@@ -154,16 +152,14 @@ class ControlChannel : public ChannelEndpoint,
                        public simnet::IncomingHoldTarget {
  public:
   /// `shared_slots` switches the receive side to SRQ mode: no private
-  /// slab is allocated; Connect attaches the queue pair to the source's
-  /// shared receive queue and reserves `credits` pool slots (the per-peer
-  /// credit grant the reservation must cover).  Null keeps the classic
-  /// private pool.  `slots_pre_reserved` means the admission point
-  /// already made that reservation (atomically with its admission check)
-  /// and this channel adopts it: Connect reserves nothing, the destructor
-  /// still refunds.
+  /// slab is allocated, and Connect attaches the queue pair to the
+  /// source's shared receive queue.  The admission point has already
+  /// reserved `credits` pool slots (the per-peer credit grant),
+  /// atomically with its admission check; the channel adopts that
+  /// reservation and its destructor refunds it.  Null keeps the classic
+  /// private pool.
   ControlChannel(verbs::Device& device, std::uint32_t credits,
-                 ControlSlotSource* shared_slots = nullptr,
-                 bool slots_pre_reserved = false);
+                 ControlSlotSource* shared_slots = nullptr);
   ~ControlChannel() override;
 
   ControlChannel(const ControlChannel&) = delete;
@@ -297,7 +293,6 @@ class ControlChannel : public ChannelEndpoint,
   std::uint32_t credits_;
   ControlSlotSource* shared_slots_;  ///< null = classic private pool
   std::weak_ptr<void> slots_liveness_;  ///< guards the dtor's refund
-  bool slots_reserved_ = false;
   std::unique_ptr<verbs::CompletionQueue> send_cq_;
   std::unique_ptr<verbs::CompletionQueue> recv_cq_;
   verbs::QueuePairCounters qp_counters_;

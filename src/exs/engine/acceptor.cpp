@@ -64,10 +64,9 @@ std::unique_ptr<Socket> Acceptor::Admit(verbs::Device& device,
   if (meta.mux) {
     wiring.mux_stream = std::move(stream);
   } else {
-    wiring.shared_slots = &slots_;
     // The socket's channel adopts the reservation made above and refunds
     // it at teardown.
-    wiring.slots_reserved = true;
+    wiring.shared_slots = &slots_;
   }
   return std::make_unique<Socket>(device, type, options, name,
                                   std::move(wiring));

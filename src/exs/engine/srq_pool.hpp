@@ -34,10 +34,14 @@ class ControlSlotPool : public ControlSlotSource {
 
   // ControlSlotSource
   verbs::SharedReceiveQueue& srq() override { return srq_; }
-  bool ReserveSlots(std::uint32_t n) override;
   void UnreserveSlots(std::uint32_t n) override;
   const std::uint8_t* SlotMem(std::uint64_t slot) const override;
   void RepostSlot(std::uint64_t slot) override;
+
+  /// Account `n` pool slots to a connection being admitted.  False when
+  /// the pool cannot cover them: the acceptor refuses the connection
+  /// instead of risking RNR on an established one.
+  bool ReserveSlots(std::uint32_t n);
 
   /// Admission-control preflight: can a connection granting `n` credits be
   /// accepted without oversubscribing the pool?

@@ -66,7 +66,7 @@ Socket::Socket(verbs::Device& device, SocketType type, StreamOptions options,
     // Shared slots imply a single rail (checked above), so only rail 0
     // can draw from them.
     auto channel = std::make_unique<ControlChannel>(
-        device, options_.credits, wiring_.shared_slots, wiring_.slots_reserved);
+        device, options_.credits, wiring_.shared_slots);
     // Every rail's standalone CREDIT messages count socket-wide.
     channel->SetInstruments(r == 0 ? &inst_.send_credits : nullptr,
                             &rail_inst_[r].inflight_wrs,

@@ -36,13 +36,11 @@ struct SocketWiring {
   RingLease ring_lease;
   /// Control receive slots drawn from a shared SRQ-backed pool instead of
   /// a per-channel slab.  Requires rails == 1 (engine sockets never
-  /// stripe; the shared pool reserves per-connection, not per-rail).
+  /// stripe; the shared pool reserves per-connection, not per-rail).  The
+  /// admission point has already reserved `credits` slots against it
+  /// (check and commitment are atomic there); the channel adopts that
+  /// reservation and refunds it at teardown.
   ControlSlotSource* shared_slots = nullptr;
-  /// The admission point already reserved `credits` slots against
-  /// `shared_slots` (check and commitment are atomic there); the channel
-  /// adopts that reservation — refunding it at teardown — instead of
-  /// reserving again at Connect time.
-  bool slots_reserved = false;
   /// Shared-QP multiplexing (docs/PROTOCOL.md §13): this stream of a
   /// MuxGroup becomes the socket's one rail instead of a dedicated control
   /// channel — no queue pair, completion queues, or credit slab are created
