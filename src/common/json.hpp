@@ -26,7 +26,6 @@ struct Value {
   bool IsObject() const { return type == Type::kObject; }
   bool IsArray() const { return type == Type::kArray; }
   bool IsNumber() const { return type == Type::kNumber; }
-  bool IsString() const { return type == Type::kString; }
 
   /// Object member lookup; nullptr when absent or not an object.
   const Value* Find(const std::string& key) const;

@@ -59,12 +59,6 @@ struct Bandwidth {
   static constexpr Bandwidth GigabitsPerSecond(double gbps) {
     return BitsPerSecond(gbps * 1e9);
   }
-  static constexpr Bandwidth MegabitsPerSecond(double mbps) {
-    return BitsPerSecond(mbps * 1e6);
-  }
-  static constexpr Bandwidth BytesPerSecond(double bytes) {
-    return Bandwidth{bytes};
-  }
   static constexpr Bandwidth GigabytesPerSecond(double gb) {
     return Bandwidth{gb * 1e9};
   }
